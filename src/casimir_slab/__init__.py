@@ -37,7 +37,6 @@ from .core import (
 )
 from .errors import DomainError, IllConditionedFitError, InsufficientSamplesError
 from .specfun import (
-    Precision,
     cot_derivative,
     coulomb_potential,
     gamma,
@@ -53,7 +52,6 @@ __all__ = [
     "DomainError",
     "IllConditionedFitError",
     "InsufficientSamplesError",
-    "Precision",
     "gamma",
     "riemann_zeta",
     "hurwitz_zeta",

@@ -14,29 +14,20 @@ configurations produce byte-identical output. All numbers are printed
 with 12 significant digits; lengths enter every result only through
 exact powers, so rescaling --length never changes the digits in an
 unpredictable way.
-
-The environment variable CASIMIR_MAX_THREADS (default 1) bounds the
-number of worker threads used to evaluate profile grid points; rows are
-always assembled in grid order, so the output does not depend on it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
-from . import core, verify
+from . import core
 from .core import EmBC, Region, ScalarBC, Spacetime, Theory, TheoryKind
 from .errors import DomainError
 
 UNITS = "hbar = c = 1; densities/pressures scale as 1/L^D, energies per hyperarea as 1/L^(D-1)"
-
-_T = TypeVar("_T")
-_U = TypeVar("_U")
 
 
 class UsageError(Exception):
@@ -61,25 +52,6 @@ def _json_cell(value: object) -> object:
     return value
 
 
-def _max_threads() -> int:
-    raw = os.environ.get("CASIMIR_MAX_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"CASIMIR_MAX_THREADS: not an integer: {raw!r}") from exc
-    if n < 1:
-        raise UsageError(f"CASIMIR_MAX_THREADS: must be >= 1, got {n}")
-    return n
-
-
-def _map_ordered(fn: Callable[[_T], _U], items: Sequence[_T]) -> list[_U]:
-    workers = min(_max_threads(), max(len(items), 1))
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _render(
     config: dict[str, object],
     columns: list[str],
@@ -102,8 +74,11 @@ def _render(
     if output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise UsageError(f"--output: {exc}") from exc
 
 
 _THEORY_KINDS = {k.value: k for k in TheoryKind}
@@ -188,7 +163,7 @@ def _profile_rows(args: argparse.Namespace, st: Spacetime, th: Theory) -> list[l
     else:
         improved = th.kind is TheoryKind.SCALAR_IMPROVED
         tensor_at = lambda z: core.scalar_stress(st, th.bc, z, improved=improved)  # noqa: E731
-    tensors = _map_ordered(tensor_at, grid)
+    tensors = [tensor_at(z) for z in grid]
     return [
         [z, t.t00, t.tzz, t.t_transverse, t.trace, Region.INTERIOR.value]
         for z, t in zip(grid, tensors)
@@ -217,7 +192,7 @@ def _cmd_fluctuations(args: argparse.Namespace) -> int:
         raise UsageError("--dim: fluctuations need D >= 3 (no transverse direction at D=2)")
     bc = _EM_BCS[args.bc or EmBC.METALLIC.value]
     grid = _interior_grid(st.plate_gap_L, args.samples)
-    records = _map_ordered(lambda z: core.em_fluctuations(st, bc, z), grid)
+    records = [core.em_fluctuations(st, bc, z) for z in grid]
     rows: list[list[object]] = [
         [z, r.ez2, r.ei2, r.biz2, r.bij2] for z, r in zip(grid, records)
     ]
@@ -264,6 +239,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # Imported here so the other commands never load numpy and the oracles.
+    from . import verify
+
     results = verify.run_checks(quick=args.quick)
     rows: list[list[object]] = [
         [r.name, r.residual, r.tolerance, "pass" if r.passed else "FAIL"] for r in results
@@ -293,30 +271,32 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Vacuum energies, pressures and stress profiles between parallel hyperplanes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--format", choices=("csv", "json"), default="csv")
+    out.add_argument("--output", default=None, metavar="PATH", help="write to file instead of stdout")
 
-    def add_common(p: argparse.ArgumentParser, theory: bool = True) -> None:
+    def add_setup(p: argparse.ArgumentParser) -> None:
         p.add_argument("--dim", type=int, default=4, help="spacetime dimension D (2..24)")
         p.add_argument("--length", type=float, default=1.0, help="plate separation L")
-        if theory:
-            p.add_argument(
-                "--theory",
-                choices=sorted(_THEORY_KINDS),
-                default=TheoryKind.MAXWELL.value,
-            )
-            p.add_argument(
-                "--bc",
-                choices=sorted(_SCALAR_BCS) + sorted(_EM_BCS),
-                default=None,
-                help="boundary condition (default: metallic for maxwell, dirichlet for scalars)",
-            )
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--output", default=None, metavar="PATH", help="write to file instead of stdout")
+        p.add_argument(
+            "--theory",
+            choices=sorted(_THEORY_KINDS),
+            default=TheoryKind.MAXWELL.value,
+        )
+        p.add_argument(
+            "--bc",
+            choices=sorted(_SCALAR_BCS) + sorted(_EM_BCS),
+            default=None,
+            help="boundary condition (default: metallic for maxwell, dirichlet for scalars)",
+        )
 
-    p_pressure = sub.add_parser("pressure", help="pressure and total energy per hyperarea")
-    add_common(p_pressure)
+    p_pressure = sub.add_parser(
+        "pressure", parents=[out], help="pressure and total energy per hyperarea"
+    )
+    add_setup(p_pressure)
 
-    p_profile = sub.add_parser("profile", help="stress tensor on a midpoint z grid")
-    add_common(p_profile)
+    p_profile = sub.add_parser("profile", parents=[out], help="stress tensor on a midpoint z grid")
+    add_setup(p_profile)
     p_profile.add_argument("--samples", type=int, default=64)
     p_profile.add_argument(
         "--subtracted",
@@ -324,26 +304,22 @@ def _build_parser() -> argparse.ArgumentParser:
         help="emit the everywhere-finite subtracted profile, including exterior rows",
     )
 
-    p_fluct = sub.add_parser("fluctuations", help="squared field fluctuations on a z grid")
+    p_fluct = sub.add_parser(
+        "fluctuations", parents=[out], help="squared field fluctuations on a z grid"
+    )
     p_fluct.add_argument("--dim", type=int, default=4)
     p_fluct.add_argument("--length", type=float, default=1.0)
     p_fluct.add_argument("--bc", choices=sorted(_EM_BCS), default=None)
     p_fluct.add_argument("--samples", type=int, default=16)
-    p_fluct.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_fluct.add_argument("--output", default=None, metavar="PATH")
 
-    p_sweep = sub.add_parser("sweep", help="global quantities across dimensions")
+    p_sweep = sub.add_parser("sweep", parents=[out], help="global quantities across dimensions")
     p_sweep.add_argument("--dims", default="2:12", help="inclusive dimension range LO:HI")
     p_sweep.add_argument("--length", type=float, default=1.0)
-    p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sweep.add_argument("--output", default=None, metavar="PATH")
 
-    p_verify = sub.add_parser("verify", help="run the oracle consistency suite")
+    p_verify = sub.add_parser("verify", parents=[out], help="run the oracle consistency suite")
     p_verify.add_argument(
         "--quick", action="store_true", help="100x smaller budgets, 100x looser tolerances"
     )
-    p_verify.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_verify.add_argument("--output", default=None, metavar="PATH")
 
     return parser
 

@@ -186,10 +186,36 @@ class FieldFluctuations:
     bij2: float
 
 
-def _plate_scale(dim: int, length: float) -> float:
-    # gamma(D/2) / ((4 pi)^(D/2) L^D): the overall scale of every
-    # slab-induced density.
-    return specfun.gamma(dim / 2.0) / ((4.0 * math.pi) ** (dim / 2.0) * length**dim)
+# (gamma(D/2), (4 pi)^(D/2), zeta(D)) for D = _MIN_DIM .. _MAX_DIM,
+# computed once so no closed form calls gamma or zeta per point.
+_AMPLITUDE_TABLE = tuple(
+    (
+        specfun.gamma(dim / 2.0),
+        (4.0 * math.pi) ** (dim / 2.0),
+        specfun.riemann_zeta(float(dim)),
+    )
+    for dim in range(_MIN_DIM, _MAX_DIM + 1)
+)
+
+
+def _amplitude(dim: int, length: float) -> tuple[float, float]:
+    """(A, zeta(D)) with A = gamma(D/2) / ((4 pi)^(D/2) length^D).
+
+    A is the overall scale of every slab-induced density, and the
+    uniform density is e0 = -A zeta(D). Raises DomainError unless A is
+    a positive finite double.
+    """
+    gamma_half, four_pi, zeta = _AMPLITUDE_TABLE[dim - _MIN_DIM]
+    try:
+        scale = gamma_half / (four_pi * length**dim)
+    except (OverflowError, ZeroDivisionError):
+        scale = math.nan  # length**dim overflowed or underflowed to 0
+    if not 0.0 < scale < math.inf:
+        raise DomainError(
+            f"length {length} at D={dim}: the amplitude "
+            "gamma(D/2)/((4 pi)^(D/2) length^D) is not a finite positive double"
+        )
+    return scale, zeta
 
 
 def _bc_sign(bc: ScalarBC | EmBC) -> float:
@@ -211,7 +237,8 @@ def base_energy_density(st: Spacetime) -> float:
     -gamma(D/2) zeta(D) / ((4 pi)^(D/2) L^D): always negative, scaling
     as 1/L^D.
     """
-    return -(_plate_scale(st.dim_D, st.plate_gap_L) * specfun.riemann_zeta(float(st.dim_D)))
+    scale, zeta = _amplitude(st.dim_D, st.plate_gap_L)
+    return -(scale * zeta)
 
 
 def total_energy_per_area(st: Spacetime, th: Theory) -> float:
@@ -221,13 +248,12 @@ def total_energy_per_area(st: Spacetime, th: Theory) -> float:
     is a total derivative and cannot shift the integral). Maxwell: D - 2
     field polarizations multiply the scalar result.
     """
-    e0_l = base_energy_density(st) * st.plate_gap_L
     if th.kind is TheoryKind.MAXWELL:
         dof = st.dim_D - 2
         if dof == 0:
             return 0.0
-        return dof * e0_l
-    return e0_l
+        return dof * (base_energy_density(st) * st.plate_gap_L)
+    return base_energy_density(st) * st.plate_gap_L
 
 
 def pressure(st: Spacetime, th: Theory) -> float:
@@ -237,13 +263,12 @@ def pressure(st: Spacetime, th: Theory) -> float:
     Maxwell field; negative (attractive) in every dimension with
     propagating modes.
     """
-    e0 = base_energy_density(st)
     if th.kind is TheoryKind.MAXWELL:
         coeff = (st.dim_D - 2) * (st.dim_D - 1)
         if coeff == 0:
             return 0.0
-        return coeff * e0
-    return (st.dim_D - 1) * e0
+        return coeff * base_energy_density(st)
+    return (st.dim_D - 1) * base_energy_density(st)
 
 
 def f_profile(st: Spacetime, x: float) -> float:
@@ -279,10 +304,8 @@ def scalar_energy_density(st: Spacetime, bc: ScalarBC, z: float) -> float:
     diverges at the plates otherwise.
     """
     _check_interior(st, z)
-    dim = st.dim_D
-    scale = _plate_scale(dim, st.plate_gap_L)
-    zeta = specfun.riemann_zeta(float(dim))
-    coef = dim / 2.0 - 1.0
+    scale, zeta = _amplitude(st.dim_D, st.plate_gap_L)
+    coef = st.dim_D / 2.0 - 1.0
     if coef == 0.0:
         return -(scale * zeta)
     f = f_profile(st, z / st.plate_gap_L)
@@ -314,7 +337,8 @@ def scalar_stress(
     """
     _check_interior(st, z)
     dim = st.dim_D
-    e0 = base_energy_density(st)
+    scale, zeta = _amplitude(dim, st.plate_gap_L)
+    e0 = -(scale * zeta)
     tzz = (dim - 1) * e0
     if improved:
         t00 = e0
@@ -339,8 +363,7 @@ def em_fluctuations(st: Spacetime, bc: EmBC, z: float) -> FieldFluctuations:
         raise DomainError("em_fluctuations: Maxwell needs D >= 3")
     _check_interior(st, z)
     dim = st.dim_D
-    scale = _plate_scale(dim, st.plate_gap_L)
-    zeta = specfun.riemann_zeta(float(dim))
+    scale, zeta = _amplitude(dim, st.plate_gap_L)
     f = f_profile(st, z / st.plate_gap_L)
     s = _bc_sign(bc)
     ez2 = (dim - 2) * scale * (zeta + s * 0.5 * f)
@@ -378,14 +401,13 @@ def em_stress(st: Spacetime, bc: EmBC, z: float) -> StressTensor:
         raise DomainError("em_stress: Maxwell needs D >= 3")
     _check_interior(st, z)
     dim = st.dim_D
-    e0 = base_energy_density(st)
+    scale, zeta = _amplitude(dim, st.plate_gap_L)
+    e0 = -(scale * zeta)
     tzz = ((dim - 2) * (dim - 1)) * e0
     coef = dim / 2.0 - 2.0
     if coef == 0.0:
         t00 = (dim - 2) * e0
     else:
-        scale = _plate_scale(dim, st.plate_gap_L)
-        zeta = specfun.riemann_zeta(float(dim))
         f = f_profile(st, z / st.plate_gap_L)
         t00 = -(dim - 2) * scale * (zeta + _bc_sign(bc) * coef * f)
     return _assemble(dim, t00, tzz)
@@ -408,7 +430,8 @@ def single_plate_stress(dim_D: int, bc: EmBC, z: float) -> StressTensor:
     coef = dim_D / 2.0 - 2.0
     if coef == 0.0:
         return StressTensor(0.0, 0.0, 0.0, 0.0)
-    t00 = -_bc_sign(bc) * (dim_D - 2) * coef * _plate_scale(dim_D, abs(z))
+    scale, _ = _amplitude(dim_D, abs(z))
+    t00 = -_bc_sign(bc) * (dim_D - 2) * coef * scale
     return _assemble(dim_D, t00, 0.0)
 
 
@@ -430,7 +453,8 @@ def _subtracted_tensor(st: Spacetime, bc: EmBC, z: float) -> tuple[Region, Stres
     length = st.plate_gap_L
     s = _bc_sign(bc)
     coef = dim / 2.0 - 2.0
-    prefac = -(dim - 2) * _plate_scale(dim, length)
+    scale, zeta = _amplitude(dim, length)
+    prefac = -(dim - 2) * scale
     if z < 0.0:
         region = Region.LEFT_EXTERIOR
         bracket = -s * coef * (length / (length - z)) ** dim
@@ -441,9 +465,8 @@ def _subtracted_tensor(st: Spacetime, bc: EmBC, z: float) -> tuple[Region, Stres
         tzz = 0.0
     else:
         region = Region.INTERIOR
-        zeta = specfun.riemann_zeta(float(dim))
         bracket = zeta + s * coef * f_tilde(st, z / length)
-        tzz = ((dim - 2) * (dim - 1)) * base_energy_density(st)
+        tzz = ((dim - 2) * (dim - 1)) * -(scale * zeta)
     t00 = prefac * bracket
     return region, _assemble(dim, t00, tzz)
 

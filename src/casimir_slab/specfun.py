@@ -14,13 +14,11 @@ internal mutable state, so every operation is safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
 
 __all__ = [
-    "Precision",
     "gamma",
     "riemann_zeta",
     "hurwitz_zeta",
@@ -30,25 +28,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Precision:
-    """Accuracy knobs for the series evaluations.
-
-    abs_tol: early-exit threshold for tail corrections (must be > 0).
-    max_terms: cap on the number of directly summed terms (>= 16).
-    """
-
-    abs_tol: float = 1e-15
-    max_terms: int = 512
-
-    def __post_init__(self) -> None:
-        if not self.abs_tol > 0.0:
-            raise ValueError("abs_tol must be positive")
-        if self.max_terms < 16:
-            raise ValueError("max_terms must be at least 16")
-
-
-_DEFAULT_PRECISION = Precision()
+# The Hurwitz Euler-Maclaurin tail stops at the first term below
+# _ABS_TOL times the running sum.
+_ABS_TOL = 1e-15
 
 # Exact Bernoulli numbers B_2 .. B_20. Stored as rationals so the
 # Euler-Maclaurin coefficients below are reproducible to the last bit.
@@ -143,14 +125,6 @@ def gamma(x: float) -> float:
     return math.exp(_ln_gamma_stirling(x))
 
 
-def _rising(s: float, n: int) -> float:
-    # s (s+1) ... (s+n-1)
-    acc = 1.0
-    for i in range(n):
-        acc *= s + i
-    return acc
-
-
 def _zeta_em(s: float) -> float:
     # Euler-Maclaurin continuation of sum n^-s: 20 direct terms plus the
     # tail through the B_12 term. Valid (far beyond the accuracy target)
@@ -162,8 +136,11 @@ def _zeta_em(s: float) -> float:
     big_n = float(n_direct)
     acc += 0.5 * big_n ** (-s)
     acc += big_n ** (1.0 - s) / (s - 1.0)
+    # rising = s (s+1) ... (s+2k-2), the rising factorial of length 2k-1.
+    rising = s
     for k in range(1, 7):
-        acc += _EM_COEFF[k - 1] * _rising(s, 2 * k - 1) * big_n ** (-s - 2 * k + 1)
+        acc += _EM_COEFF[k - 1] * rising * big_n ** (-s - 2 * k + 1)
+        rising = rising * (s + (2 * k - 1)) * (s + 2 * k)
     return acc
 
 
@@ -188,7 +165,7 @@ def riemann_zeta(s: float) -> float:
     )
 
 
-def hurwitz_zeta(s: float, a: float, precision: Precision = _DEFAULT_PRECISION) -> float:
+def hurwitz_zeta(s: float, a: float) -> float:
     """Hurwitz zeta function sum_{n>=0} (n+a)^-s for s > 1, a > 0.
 
     For a < 1 the leading a^-s terms are peeled off until the shifted
@@ -204,24 +181,23 @@ def hurwitz_zeta(s: float, a: float, precision: Precision = _DEFAULT_PRECISION) 
         raise DomainError(f"hurwitz_zeta: requires a > 0, got a={a}")
     acc = 0.0
     shifted = a
-    terms = 0
     while shifted < 1.0:
         acc += shifted ** (-s)
         shifted += 1.0
-        terms += 1
     # Direct terms until the tail expansion point is comfortably large.
     n_direct = max(0, 16 - int(shifted))
-    n_direct = min(n_direct, precision.max_terms - terms)
     for n in range(n_direct):
         acc += (shifted + n) ** (-s)
     x = shifted + n_direct
     acc += x ** (1.0 - s) / (s - 1.0)
     acc += 0.5 * x ** (-s)
+    rising = s
     for k in range(1, 11):
-        term = _EM_COEFF[k - 1] * _rising(s, 2 * k - 1) * x ** (-s - 2 * k + 1)
+        term = _EM_COEFF[k - 1] * rising * x ** (-s - 2 * k + 1)
         acc += term
-        if abs(term) < precision.abs_tol * abs(acc):
+        if abs(term) < _ABS_TOL * abs(acc):
             break
+        rising = rising * (s + (2 * k - 1)) * (s + 2 * k)
     return acc
 
 

@@ -1,7 +1,9 @@
 """CLI tests: exit codes, formats, determinism, schema conformance."""
 
+import hashlib
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -255,31 +257,47 @@ def test_json_rounds_to_12_significant_digits(capsys):
     assert value == float(f"{-PI**2 / 240:.11e}")
 
 
-def test_byte_identical_reruns(tmp_path, capsys):
-    args = ["profile", "--dim", "6", "--theory", "maxwell", "--subtracted", "--samples", "16"]
-    path_a = tmp_path / "a.csv"
-    path_b = tmp_path / "b.csv"
-    assert cli.main(args + ["--output", str(path_a)]) == 0
-    assert cli.main(args + ["--output", str(path_b)]) == 0
-    assert path_a.read_bytes() == path_b.read_bytes()
+def test_byte_identical_reruns(tmp_path):
+    for args in (
+        ["profile", "--dim", "6", "--theory", "maxwell", "--subtracted", "--samples", "16"],
+        ["profile", "--dim", "7", "--theory", "maxwell", "--samples", "33", "--format", "json"],
+    ):
+        path_a = tmp_path / "a.out"
+        path_b = tmp_path / "b.out"
+        assert cli.main(args + ["--output", str(path_a)]) == 0
+        assert cli.main(args + ["--output", str(path_b)]) == 0
+        assert path_a.read_bytes() == path_b.read_bytes()
 
 
-def test_thread_env_does_not_change_output(tmp_path, monkeypatch):
-    args = ["profile", "--dim", "7", "--theory", "maxwell", "--samples", "33"]
-    seq = tmp_path / "seq.json"
-    par = tmp_path / "par.json"
-    monkeypatch.setenv("CASIMIR_MAX_THREADS", "1")
-    assert cli.main(args + ["--format", "json", "--output", str(seq)]) == 0
-    monkeypatch.setenv("CASIMIR_MAX_THREADS", "8")
-    assert cli.main(args + ["--format", "json", "--output", str(par)]) == 0
-    assert seq.read_bytes() == par.read_bytes()
+# sha256 of stdout, pinned when the digits were last known good. A
+# change here means the printed numbers changed, not just their layout.
+GOLDEN = [
+    ("pressure --dim 11 --theory scalar-improved --bc neumann --length 0.37 --format json",
+     "5236882c350ebe41261fea42695095a400fc0590f55a34d6c72ec1f4362150ea"),
+    ("pressure --dim 24 --theory maxwell --bc metallic --length 7.5",
+     "3a4075d83e1e1bb0e3817c882a1617f095c1e1f858f1483661e4cecb50ea3d15"),
+    ("profile --dim 5 --theory scalar-canonical --bc neumann --length 2.5 --samples 16",
+     "35086c3597aacc5beb31e79f1fef29b055cf7df0d96a6dc4640b36bb01f66fcd"),
+    ("profile --dim 13 --theory scalar-improved --bc dirichlet --samples 8 --format json",
+     "33bc3ee0092296b3fa2ba34ac2914a1fd606395d4a90d407a9a016e4e95bd48f"),
+    ("profile --dim 7 --theory maxwell --bc mit --length 0.37 --samples 33 --format json",
+     "5b7d6f159636e3c785281137edfc1a77b2800f62d319305f540f9bf6287ec33a"),
+    ("profile --dim 20 --theory maxwell --bc metallic --subtracted --samples 12 --length 7.5",
+     "e455425257c6584a1a34a4cef0c9fcb562ed4fc56ced61ed6f20daacd100372e"),
+    ("fluctuations --dim 3 --bc metallic --length 1e-3 --samples 16 --format json",
+     "891165c6d37844bf061033586ff5b445d0138ef99a271a8d63f08c04b9ecc612"),
+    ("fluctuations --dim 18 --bc mit --samples 10",
+     "278da793b0b73946ba2100c632c494ed8e991954d029d840666f6a455138c22d"),
+    ("sweep --dims 2:24 --length 0.37",
+     "9b3db8fa32ab0eee6d6a1a3fcdd6246d1250ed6559389b1a27c1cf59eeb6f390"),
+]
 
 
-def test_bad_thread_env_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("CASIMIR_MAX_THREADS", "zero")
-    code, _, err = run_cli(capsys, "profile", "--dim", "4", "--samples", "4")
-    assert code == 2
-    assert "CASIMIR_MAX_THREADS" in err
+@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[a for a, _ in GOLDEN])
+def test_golden_output_bytes(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_json_output_validates_against_shipped_schema(capsys):
@@ -308,11 +326,29 @@ def test_usage_errors_exit_2(capsys):
         ["pressure", "--length", "-1"],
         ["pressure", "--theory", "maxwell", "--bc", "dirichlet"],
         ["pressure", "--theory", "scalar-canonical", "--bc", "metallic"],
+        ["pressure", "--dim", "24", "--length", "1e300"],
+        ["profile", "--dim", "22", "--length", "1e-15"],
+        ["sweep", "--dims", "2:24", "--length", "1e13"],
+        ["pressure", "--output", "/nonexistent-casimir-dir/x.csv"],
     ]
     for argv in cases:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv
-        assert err.strip(), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    assert "--output" in err
+
+
+def test_cli_import_does_not_load_numpy():
+    # verify (numpy, oracles) is imported only by the verify command.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, casimir_slab.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_module_entry_point():

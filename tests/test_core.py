@@ -118,7 +118,8 @@ def test_total_energy_values():
     st4 = Spacetime(4, 1.0)
     assert rel_err(core.total_energy_per_area(st4, SCALAR_D), -PI**2 / 1440) < 1e-13
     assert rel_err(core.total_energy_per_area(st4, MAXWELL_METALLIC), -PI**2 / 720) < 1e-13
-    assert core.total_energy_per_area(Spacetime(2, 1.0), MAXWELL_METALLIC) == 0.0
+    for length in (1.0, 1e-300, 1e300):
+        assert core.total_energy_per_area(Spacetime(2, length), MAXWELL_METALLIC) == 0.0
 
 
 def test_improved_energy_equals_canonical():
@@ -133,7 +134,35 @@ def test_pressure_values():
     st4 = Spacetime(4, 1.0)
     assert rel_err(core.pressure(st4, MAXWELL_METALLIC), -PI**2 / 240) < 1e-13
     assert rel_err(core.pressure(st4, SCALAR_D), -PI**2 / 480) < 1e-13
-    assert core.pressure(Spacetime(2, 1.0), MAXWELL_METALLIC) == 0.0
+    for length in (1.0, 1e-300, 1e300):
+        assert core.pressure(Spacetime(2, length), MAXWELL_METALLIC) == 0.0
+
+
+@pytest.mark.parametrize(
+    "dim,length",
+    [(24, 1e300), (24, 1e13), (22, 1e-15), (24, 1e-14), (2, 1e300), (3, 1e-300), (3, 1e-105)],
+)
+def test_unrepresentable_amplitude_raises_domain_error(dim, length):
+    # L^D overflows, underflows to zero, or 1/L^D overflows: every closed
+    # form that needs the amplitude raises DomainError, never a bare
+    # OverflowError/ZeroDivisionError or a silent inf.
+    st = Spacetime(dim, length)
+    for fn in (
+        lambda: core.base_energy_density(st),
+        lambda: core.pressure(st, SCALAR_D),
+        lambda: core.total_energy_per_area(st, IMPROVED_D),
+        lambda: core.scalar_stress(st, ScalarBC.NEUMANN, 0.5 * length),
+        lambda: core.single_plate_stress(max(dim, 3), EmBC.METALLIC, length),
+    ):
+        with pytest.raises(DomainError):
+            fn()
+    if dim >= 3:
+        with pytest.raises(DomainError):
+            core.em_stress(st, EmBC.MIT, 0.5 * length)
+        with pytest.raises(DomainError):
+            core.em_fluctuations(st, EmBC.METALLIC, 0.5 * length)
+        with pytest.raises(DomainError):
+            core.subtracted_profile(st, EmBC.METALLIC, [-length, 0.5 * length])
 
 
 def test_pressure_matches_energy_derivative():

@@ -212,15 +212,6 @@ def test_hurwitz_telescoping(s, a):
     assert abs(lhs - want) <= 1e-12 * max(1.0, abs(specfun.hurwitz_zeta(s, a)))
 
 
-def test_precision_invariants():
-    with pytest.raises(ValueError):
-        specfun.Precision(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        specfun.Precision(max_terms=8)
-    loose = specfun.Precision(abs_tol=1e-9, max_terms=16)
-    assert rel_err(specfun.hurwitz_zeta(4.0, 0.5, loose), 15 * PI**4 / 90) < 1e-8
-
-
 # -------------------------------------------------------------- polygamma
 
 
