@@ -34,43 +34,42 @@ class UsageError(Exception):
     """Invalid run configuration; message names the offending field."""
 
 
-def _fmt(value: object) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return f"{value:.11e}"
-    return str(value)
-
-
 def _round12(value: float) -> float:
     return float(f"{value:.11e}")
 
 
-def _json_cell(value: object) -> object:
-    if isinstance(value, float):
-        return _round12(value)
-    return value
+def _csv_text(config: dict[str, object], columns: list[str], rows: list[tuple]) -> str:
+    # Every row of a table has the cell types of its first row, so one
+    # line format serves the whole table.
+    line = ",".join("{:.11e}" if isinstance(v, float) else "{}" for v in rows[0]) if rows else ""
+    lines = [f"# units: {config['units']}", ",".join(columns)]
+    lines.extend(line.format(*row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _json_text(config: dict[str, object], columns: list[str], rows: list[tuple]) -> str:
+    """json.dumps({config, columns, rows}, indent=2) + "\n", floats rounded to 12 digits.
+
+    The rows are written here because json.dumps with indent uses its
+    pure-Python encoder, which costs more than evaluating a large grid.
+    """
+    items = []
+    for row in rows:
+        cells = [repr(float(f"{v:.11e}")) if isinstance(v, float) else json.dumps(v) for v in row]
+        items.append("    [\n      " + ",\n      ".join(cells) + "\n    ]" if cells else "    []")
+    body = "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+    head = json.dumps({"config": config, "columns": columns}, indent=2)
+    return head[:-2] + ',\n  "rows": ' + body + "\n}\n"
 
 
 def _render(
     config: dict[str, object],
     columns: list[str],
-    rows: list[list[object]],
+    rows: list[tuple],
     fmt: str,
     output: str | None,
 ) -> None:
-    if fmt == "json":
-        doc = {
-            "config": config,
-            "columns": columns,
-            "rows": [[_json_cell(v) for v in row] for row in rows],
-        }
-        text = json.dumps(doc, indent=2) + "\n"
-    else:
-        lines = [f"# units: {config['units']}"]
-        lines.append(",".join(columns))
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
+    text = (_json_text if fmt == "json" else _csv_text)(config, columns, rows)
     if output is None:
         sys.stdout.write(text)
     else:
@@ -101,9 +100,9 @@ def _build_theory(kind_name: str, bc_name: str | None) -> Theory:
     return Theory(kind, _SCALAR_BCS[bc_name])
 
 
-def _spacetime(args: argparse.Namespace) -> Spacetime:
+def _spacetime(dim: int, length: float) -> Spacetime:
     try:
-        return Spacetime(args.dim, args.length)
+        return Spacetime(dim, length)
     except ValueError as exc:
         field = "--dim" if "dim_D" in str(exc) else "--length"
         raise UsageError(f"{field}: {exc}") from exc
@@ -123,7 +122,7 @@ def _base_config(args: argparse.Namespace, th: Theory | None = None) -> dict[str
 
 
 def _cmd_pressure(args: argparse.Namespace) -> int:
-    st = _spacetime(args)
+    st = _spacetime(args.dim, args.length)
     th = _build_theory(args.theory, args.bc)
     if th.kind is TheoryKind.MAXWELL and st.dim_D == 2:
         print(
@@ -133,7 +132,7 @@ def _cmd_pressure(args: argparse.Namespace) -> int:
     p = core.pressure(st, th)
     energy = core.total_energy_per_area(st, th)
     columns = ["dim", "length", "theory", "bc", "pressure", "energy_per_area"]
-    rows: list[list[object]] = [[st.dim_D, st.plate_gap_L, th.kind.value, th.bc.value, p, energy]]
+    rows = [(st.dim_D, st.plate_gap_L, th.kind.value, th.bc.value, p, energy)]
     _render(_base_config(args, th), columns, rows, args.format, args.output)
     return 0
 
@@ -142,7 +141,7 @@ def _interior_grid(length: float, samples: int) -> list[float]:
     return [length * (i + 0.5) / samples for i in range(samples)]
 
 
-def _profile_rows(args: argparse.Namespace, st: Spacetime, th: Theory) -> list[list[object]]:
+def _profile_rows(args: argparse.Namespace, st: Spacetime, th: Theory) -> list[tuple]:
     length = st.plate_gap_L
     grid = _interior_grid(length, args.samples)
     if args.subtracted:
@@ -150,30 +149,23 @@ def _profile_rows(args: argparse.Namespace, st: Spacetime, th: Theory) -> list[l
             raise UsageError("--subtracted: only defined for --theory maxwell")
         exterior_left = [-length * (i + 0.5) / args.samples for i in range(args.samples)]
         exterior_right = [length + length * (i + 0.5) / args.samples for i in range(args.samples)]
-        profile = core.subtracted_profile(st, th.bc, exterior_left + grid + exterior_right)
-        return [
-            [s.z, s.tensor.t00, s.tensor.tzz, s.tensor.t_transverse, s.tensor.trace, s.region.value]
-            for s in profile.samples
-        ]
+        rows = core.subtracted_rows(st, th.bc, exterior_left + grid + exterior_right)
+        return [(*row[:-1], row[-1].value) for row in rows]
     if any(z == 0.0 or z == length for z in grid):
         raise UsageError("--samples: grid point falls on a plate; densities diverge there")
-
     if th.kind is TheoryKind.MAXWELL:
-        tensor_at = lambda z: core.em_stress(st, th.bc, z)  # noqa: E731
+        tensors = core.em_stress_rows(st, th.bc, grid)
     else:
         improved = th.kind is TheoryKind.SCALAR_IMPROVED
-        tensor_at = lambda z: core.scalar_stress(st, th.bc, z, improved=improved)  # noqa: E731
-    tensors = [tensor_at(z) for z in grid]
-    return [
-        [z, t.t00, t.tzz, t.t_transverse, t.trace, Region.INTERIOR.value]
-        for z, t in zip(grid, tensors)
-    ]
+        tensors = core.scalar_stress_rows(st, th.bc, grid, improved)
+    interior = Region.INTERIOR.value
+    return [(z, *tensor, interior) for z, tensor in zip(grid, tensors)]
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     if args.samples < 2:
         raise UsageError(f"--samples: must be >= 2, got {args.samples}")
-    st = _spacetime(args)
+    st = _spacetime(args.dim, args.length)
     th = _build_theory(args.theory, args.bc)
     rows = _profile_rows(args, st, th)
     config = _base_config(args, th)
@@ -187,15 +179,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_fluctuations(args: argparse.Namespace) -> int:
     if args.samples < 2:
         raise UsageError(f"--samples: must be >= 2, got {args.samples}")
-    st = _spacetime(args)
+    st = _spacetime(args.dim, args.length)
     if st.dim_D < 3:
         raise UsageError("--dim: fluctuations need D >= 3 (no transverse direction at D=2)")
     bc = _EM_BCS[args.bc or EmBC.METALLIC.value]
     grid = _interior_grid(st.plate_gap_L, args.samples)
-    records = [core.em_fluctuations(st, bc, z) for z in grid]
-    rows: list[list[object]] = [
-        [z, r.ez2, r.ei2, r.biz2, r.bij2] for z, r in zip(grid, records)
-    ]
+    rows = [(z, *record) for z, record in zip(grid, core.em_fluctuations_rows(st, bc, grid))]
     config = _base_config(args)
     config["theory"] = TheoryKind.MAXWELL.value
     config["bc"] = bc.value
@@ -220,13 +209,13 @@ def _parse_dims(text: str) -> range:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     dims = _parse_dims(args.dims)
-    rows: list[list[object]] = []
+    rows = []
     for dim in dims:
-        st = Spacetime(dim, args.length)
+        st = _spacetime(dim, args.length)
         e0 = core.base_energy_density(st)
         p_scalar = core.pressure(st, Theory(TheoryKind.SCALAR_CANONICAL, ScalarBC.DIRICHLET))
         p_maxwell = core.pressure(st, Theory(TheoryKind.MAXWELL, EmBC.METALLIC))
-        rows.append([dim, e0, p_scalar, p_maxwell])
+        rows.append((dim, e0, p_scalar, p_maxwell))
     config: dict[str, object] = {
         "command": args.command,
         "dims": args.dims,
@@ -243,9 +232,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from . import verify
 
     results = verify.run_checks(quick=args.quick)
-    rows: list[list[object]] = [
-        [r.name, r.residual, r.tolerance, "pass" if r.passed else "FAIL"] for r in results
-    ]
+    rows = [(r.name, r.residual, r.tolerance, "pass" if r.passed else "FAIL") for r in results]
     config: dict[str, object] = {
         "command": args.command,
         "quick": bool(args.quick),

@@ -40,11 +40,15 @@ __all__ = [
     "F_theta",
     "scalar_energy_density",
     "scalar_stress",
+    "scalar_stress_rows",
     "em_fluctuations",
+    "em_fluctuations_rows",
     "em_stress",
+    "em_stress_rows",
     "single_plate_stress",
     "f_tilde",
     "subtracted_profile",
+    "subtracted_rows",
     "field_invariant",
 ]
 
@@ -224,11 +228,47 @@ def _bc_sign(bc: ScalarBC | EmBC) -> float:
     return 1.0 if scalar is ScalarBC.DIRICHLET else -1.0
 
 
-def _check_interior(st: Spacetime, z: float) -> None:
-    if not 0.0 < z < st.plate_gap_L:
-        raise DomainError(
-            f"z={z} is on or outside the plates; densities diverge at z=0 and z=L"
-        )
+def _finite(value: float, dim: int) -> float:
+    if not math.isfinite(value):
+        raise DomainError(f"D={dim}: a result overflows a double (small length or z near a plate)")
+    return value
+
+
+def _stress_row(dim: int, t00: float, tzz: float) -> tuple[float, float, float, float]:
+    # (t00, tzz, t_transverse, trace). All tensors here are proportional
+    # to the transverse metric in the barred block, so t_transverse =
+    # -t00 and the trace follows. The "+ 0.0" normalizes negative zeros
+    # produced by vanishing coefficients so reports never print -0. A
+    # finite trace implies finite t00 and tzz.
+    trace = _finite((dim - 1) * t00 - tzz + 0.0, dim)
+    return (t00 + 0.0, tzz + 0.0, -t00 + 0.0, trace)
+
+
+def _interior_xs(st: Spacetime, grid: Iterable[float]) -> list[float]:
+    # x = z/L at each z, checked to lie strictly inside also after rounding.
+    length = st.plate_gap_L
+    xs = []
+    for z in grid:
+        x = z / length
+        if not (0.0 < z < length and 0.0 < x < 1.0):
+            raise DomainError(
+                f"z={z} is on or outside the plates; densities diverge at z=0 and z=L"
+            )
+        xs.append(x)
+    return xs
+
+
+def _profile_stress_rows(
+    dim: int, xs: list[float], pre: float, zeta: float, k: float, tzz: float
+) -> list[tuple[float, float, float, float]]:
+    # t00 = pre [zeta(D) + k f(x)] at each x, with a z-independent tzz.
+    hurwitz = specfun._hurwitz
+    d = float(dim)
+    rows = []
+    for x in xs:
+        t00 = pre * (zeta + k * (hurwitz(d, x) + hurwitz(d, 1.0 - x)))
+        rows.append(_stress_row(dim, t00, tzz))
+    return rows
 
 
 def base_energy_density(st: Spacetime) -> float:
@@ -238,7 +278,7 @@ def base_energy_density(st: Spacetime) -> float:
     as 1/L^D.
     """
     scale, zeta = _amplitude(st.dim_D, st.plate_gap_L)
-    return -(scale * zeta)
+    return _finite(-(scale * zeta), st.dim_D)
 
 
 def total_energy_per_area(st: Spacetime, th: Theory) -> float:
@@ -263,12 +303,12 @@ def pressure(st: Spacetime, th: Theory) -> float:
     Maxwell field; negative (attractive) in every dimension with
     propagating modes.
     """
+    coeff = st.dim_D - 1
     if th.kind is TheoryKind.MAXWELL:
-        coeff = (st.dim_D - 2) * (st.dim_D - 1)
+        coeff *= st.dim_D - 2
         if coeff == 0:
             return 0.0
-        return coeff * base_energy_density(st)
-    return (st.dim_D - 1) * base_energy_density(st)
+    return _finite(coeff * base_energy_density(st), st.dim_D)
 
 
 def f_profile(st: Spacetime, x: float) -> float:
@@ -281,7 +321,7 @@ def f_profile(st: Spacetime, x: float) -> float:
     if not 0.0 < x < 1.0:
         raise DomainError(f"f_profile: x={x} is on a plate; the image sum diverges")
     d = float(st.dim_D)
-    return specfun.hurwitz_zeta(d, x) + specfun.hurwitz_zeta(d, 1.0 - x)
+    return specfun._hurwitz(d, x) + specfun._hurwitz(d, 1.0 - x)
 
 
 def F_theta(theta: float) -> float:
@@ -296,6 +336,21 @@ def F_theta(theta: float) -> float:
     return 3.0 / s2**2 - 2.0 / s2
 
 
+def scalar_stress_rows(
+    st: Spacetime, bc: ScalarBC, grid: Iterable[float], improved: bool = False
+) -> list[tuple]:
+    """scalar_stress as rows (t00, tzz, t_transverse, trace) on a grid of 0 < z < L."""
+    dim = st.dim_D
+    scale, zeta = _amplitude(dim, st.plate_gap_L)
+    xs = _interior_xs(st, grid)
+    e0 = -(scale * zeta)
+    tzz = (dim - 1) * e0
+    coef = dim / 2.0 - 1.0
+    if improved or coef == 0.0:
+        return [_stress_row(dim, e0, tzz)] * len(xs)
+    return _profile_stress_rows(dim, xs, -scale, zeta, _bc_sign(bc) * coef, tzz)
+
+
 def scalar_energy_density(st: Spacetime, bc: ScalarBC, z: float) -> float:
     """Local vacuum energy density of the canonical scalar at 0 < z < L.
 
@@ -303,26 +358,7 @@ def scalar_energy_density(st: Spacetime, bc: ScalarBC, z: float) -> float:
     The f term vanishes identically at D = 2 (the conformal case) and
     diverges at the plates otherwise.
     """
-    _check_interior(st, z)
-    scale, zeta = _amplitude(st.dim_D, st.plate_gap_L)
-    coef = st.dim_D / 2.0 - 1.0
-    if coef == 0.0:
-        return -(scale * zeta)
-    f = f_profile(st, z / st.plate_gap_L)
-    return -scale * (zeta + _bc_sign(bc) * coef * f)
-
-
-def _assemble(dim: int, t00: float, tzz: float) -> StressTensor:
-    # All tensors here are proportional to the transverse metric in the
-    # barred block, so t_transverse = -t00 and the trace follows. The
-    # "+ 0.0" normalizes negative zeros produced by vanishing
-    # coefficients so reports never print -0.
-    return StressTensor(
-        t00=t00 + 0.0,
-        tzz=tzz + 0.0,
-        t_transverse=-t00 + 0.0,
-        trace=(dim - 1) * t00 - tzz + 0.0,
-    )
+    return scalar_stress_rows(st, bc, (z,))[0][0]
 
 
 def scalar_stress(
@@ -335,16 +371,28 @@ def scalar_stress(
     t00 = e0, t_transverse = -e0, tzz = (D-1) e0. At D = 2 the two
     coincide because the improvement coefficient vanishes.
     """
-    _check_interior(st, z)
+    return StressTensor(*scalar_stress_rows(st, bc, (z,), improved)[0])
+
+
+def em_fluctuations_rows(st: Spacetime, bc: EmBC, grid: Iterable[float]) -> list[tuple]:
+    """em_fluctuations as rows (ez2, ei2, biz2, bij2) on a grid of 0 < z < L."""
     dim = st.dim_D
+    if dim < 3:
+        raise DomainError("em_fluctuations: Maxwell needs D >= 3")
     scale, zeta = _amplitude(dim, st.plate_gap_L)
-    e0 = -(scale * zeta)
-    tzz = (dim - 1) * e0
-    if improved:
-        t00 = e0
-    else:
-        t00 = scalar_energy_density(st, bc, z)
-    return _assemble(dim, t00, tzz)
+    xs = _interior_xs(st, grid)
+    hurwitz = specfun._hurwitz
+    d = float(dim)
+    pre_e = (dim - 2) * scale
+    pre_i = -2.0 * scale
+    half = _bc_sign(bc) * 0.5
+    rows = []
+    for x in xs:
+        f = hurwitz(d, x) + hurwitz(d, 1.0 - x)
+        ez2 = _finite(pre_e * (zeta + half * f), dim)
+        ei2 = _finite(pre_i * (zeta - half * f), dim)
+        rows.append((ez2, ei2, -ez2, -ei2 if dim > 3 else 0.0))
+    return rows
 
 
 def em_fluctuations(st: Spacetime, bc: EmBC, z: float) -> FieldFluctuations:
@@ -359,17 +407,7 @@ def em_fluctuations(st: Spacetime, bc: EmBC, z: float) -> FieldFluctuations:
     magnetic entries follow from duality: biz2 = -ez2, bij2 = -ei2
     (bij2 is reported as 0 at D = 3 where no transverse pair exists).
     """
-    if st.dim_D < 3:
-        raise DomainError("em_fluctuations: Maxwell needs D >= 3")
-    _check_interior(st, z)
-    dim = st.dim_D
-    scale, zeta = _amplitude(dim, st.plate_gap_L)
-    f = f_profile(st, z / st.plate_gap_L)
-    s = _bc_sign(bc)
-    ez2 = (dim - 2) * scale * (zeta + s * 0.5 * f)
-    ei2 = -2.0 * scale * (zeta - s * 0.5 * f)
-    bij2 = 0.0 if dim == 3 else -ei2
-    return FieldFluctuations(ez2=ez2, ei2=ei2, biz2=-ez2, bij2=bij2)
+    return FieldFluctuations(*em_fluctuations_rows(st, bc, (z,))[0])
 
 
 def field_invariant(fl: FieldFluctuations, dim_D: int) -> float:
@@ -389,6 +427,21 @@ def field_invariant(fl: FieldFluctuations, dim_D: int) -> float:
     )
 
 
+def em_stress_rows(st: Spacetime, bc: EmBC, grid: Iterable[float]) -> list[tuple]:
+    """em_stress as rows (t00, tzz, t_transverse, trace) on a grid of 0 < z < L."""
+    dim = st.dim_D
+    if dim < 3:
+        raise DomainError("em_stress: Maxwell needs D >= 3")
+    scale, zeta = _amplitude(dim, st.plate_gap_L)
+    xs = _interior_xs(st, grid)
+    e0 = -(scale * zeta)
+    tzz = ((dim - 2) * (dim - 1)) * e0
+    coef = dim / 2.0 - 2.0
+    if coef == 0.0:
+        return [_stress_row(dim, (dim - 2) * e0, tzz)] * len(xs)
+    return _profile_stress_rows(dim, xs, -(dim - 2) * scale, zeta, _bc_sign(bc) * coef, tzz)
+
+
 def em_stress(st: Spacetime, bc: EmBC, z: float) -> StressTensor:
     """Maxwell stress tensor between the plates, D >= 3.
 
@@ -397,20 +450,7 @@ def em_stress(st: Spacetime, bc: EmBC, z: float) -> StressTensor:
     carries the coefficient D/2 - 2, which vanishes exactly at D = 4:
     the conformal case with a constant energy density.
     """
-    if st.dim_D < 3:
-        raise DomainError("em_stress: Maxwell needs D >= 3")
-    _check_interior(st, z)
-    dim = st.dim_D
-    scale, zeta = _amplitude(dim, st.plate_gap_L)
-    e0 = -(scale * zeta)
-    tzz = ((dim - 2) * (dim - 1)) * e0
-    coef = dim / 2.0 - 2.0
-    if coef == 0.0:
-        t00 = (dim - 2) * e0
-    else:
-        f = f_profile(st, z / st.plate_gap_L)
-        t00 = -(dim - 2) * scale * (zeta + _bc_sign(bc) * coef * f)
-    return _assemble(dim, t00, tzz)
+    return StressTensor(*em_stress_rows(st, bc, (z,))[0])
 
 
 def single_plate_stress(dim_D: int, bc: EmBC, z: float) -> StressTensor:
@@ -432,7 +472,7 @@ def single_plate_stress(dim_D: int, bc: EmBC, z: float) -> StressTensor:
         return StressTensor(0.0, 0.0, 0.0, 0.0)
     scale, _ = _amplitude(dim_D, abs(z))
     t00 = -_bc_sign(bc) * (dim_D - 2) * coef * scale
-    return _assemble(dim_D, t00, 0.0)
+    return StressTensor(*_stress_row(dim_D, t00, 0.0))
 
 
 def f_tilde(st: Spacetime, x: float) -> float:
@@ -445,30 +485,41 @@ def f_tilde(st: Spacetime, x: float) -> float:
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"f_tilde: x={x} outside [0, 1]")
     d = float(st.dim_D)
-    return specfun.hurwitz_zeta(d, 1.0 + x) + specfun.hurwitz_zeta(d, 2.0 - x)
+    return specfun._hurwitz(d, 1.0 + x) + specfun._hurwitz(d, 2.0 - x)
 
 
-def _subtracted_tensor(st: Spacetime, bc: EmBC, z: float) -> tuple[Region, StressTensor]:
+def subtracted_rows(st: Spacetime, bc: EmBC, grid: Iterable[float]) -> list[tuple]:
+    """subtracted_profile as rows (z, t00, tzz, t_transverse, trace, region), sorted by z."""
     dim = st.dim_D
+    if dim < 3:
+        raise DomainError("subtracted_profile: Maxwell needs D >= 3")
     length = st.plate_gap_L
-    s = _bc_sign(bc)
-    coef = dim / 2.0 - 2.0
     scale, zeta = _amplitude(dim, length)
-    prefac = -(dim - 2) * scale
-    if z < 0.0:
-        region = Region.LEFT_EXTERIOR
-        bracket = -s * coef * (length / (length - z)) ** dim
-        tzz = 0.0
-    elif z > length:
-        region = Region.RIGHT_EXTERIOR
-        bracket = -s * coef * (length / z) ** dim
-        tzz = 0.0
-    else:
-        region = Region.INTERIOR
-        bracket = zeta + s * coef * f_tilde(st, z / length)
-        tzz = ((dim - 2) * (dim - 1)) * -(scale * zeta)
-    t00 = prefac * bracket
-    return region, _assemble(dim, t00, tzz)
+    hurwitz = specfun._hurwitz
+    d = float(dim)
+    coef = dim / 2.0 - 2.0
+    sign = _bc_sign(bc)
+    k = sign * coef
+    k_exterior = -sign * coef
+    pre = -(dim - 2) * scale
+    tzz = ((dim - 2) * (dim - 1)) * -(scale * zeta)
+    rows = []
+    for z in sorted(grid):
+        if z < 0.0:
+            t00 = pre * (k_exterior * (length / (length - z)) ** dim)
+            rows.append((z, *_stress_row(dim, t00, 0.0), Region.LEFT_EXTERIOR))
+        elif z > length:
+            t00 = pre * (k_exterior * (length / z) ** dim)
+            rows.append((z, *_stress_row(dim, t00, 0.0), Region.RIGHT_EXTERIOR))
+        elif 0.0 < z < length:
+            x = z / length
+            t00 = pre * (zeta + k * (hurwitz(d, 1.0 + x) + hurwitz(d, 2.0 - x)))
+            rows.append((z, *_stress_row(dim, t00, tzz), Region.INTERIOR))
+        else:
+            raise DomainError(
+                f"subtracted_profile: grid point z={z} sits exactly on a plate or is not a number"
+            )
+    return rows
 
 
 def subtracted_profile(st: Spacetime, bc: EmBC, z_grid: Iterable[float]) -> Profile:
@@ -482,16 +533,9 @@ def subtracted_profile(st: Spacetime, bc: EmBC, z_grid: Iterable[float]) -> Prof
     z = 0 and z = L exactly, where the branch assignment is ambiguous;
     probe the two one-sided limits instead.
     """
-    if st.dim_D < 3:
-        raise DomainError("subtracted_profile: Maxwell needs D >= 3")
-    zs = sorted(z_grid)
-    samples = []
-    for z in zs:
-        if z == 0.0 or z == st.plate_gap_L:
-            raise DomainError(
-                f"subtracted_profile: grid point z={z} sits exactly on a plate"
-            )
-        region, tensor = _subtracted_tensor(st, bc, z)
-        samples.append(ProfileSample(z=z, region=region, tensor=tensor))
+    samples = tuple(
+        ProfileSample(z, region, StressTensor(*tensor))
+        for z, *tensor, region in subtracted_rows(st, bc, z_grid)
+    )
     theory = Theory(TheoryKind.MAXWELL, bc)
-    return Profile(spacetime=st, theory=theory, samples=tuple(samples))
+    return Profile(spacetime=st, theory=theory, samples=samples)

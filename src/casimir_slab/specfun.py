@@ -14,7 +14,6 @@ internal mutable state, so every operation is safe to call concurrently.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import DomainError
 
@@ -32,29 +31,30 @@ __all__ = [
 # _ABS_TOL times the running sum.
 _ABS_TOL = 1e-15
 
-# Exact Bernoulli numbers B_2 .. B_20. Stored as rationals so the
-# Euler-Maclaurin coefficients below are reproducible to the last bit.
+# Exact Bernoulli numbers B_2 .. B_20 as (numerator, denominator). The
+# coefficients below divide one exact integer by another, which Python
+# rounds correctly, so they are reproducible to the last bit.
 _BERNOULLI = (
-    Fraction(1, 6),
-    Fraction(-1, 30),
-    Fraction(1, 42),
-    Fraction(-1, 30),
-    Fraction(5, 66),
-    Fraction(-691, 2730),
-    Fraction(7, 6),
-    Fraction(-3617, 510),
-    Fraction(43867, 798),
-    Fraction(-174611, 330),
+    (1, 6),
+    (-1, 30),
+    (1, 42),
+    (-1, 30),
+    (5, 66),
+    (-691, 2730),
+    (7, 6),
+    (-3617, 510),
+    (43867, 798),
+    (-174611, 330),
 )
 
 # B_2k / (2k)! for k = 1..10, as floats.
 _EM_COEFF = tuple(
-    float(b / math.factorial(2 * (k + 1))) for k, b in enumerate(_BERNOULLI)
+    num / (den * math.factorial(2 * k)) for k, (num, den) in enumerate(_BERNOULLI, 1)
 )
 
 # B_2k / (2k (2k-1)) for k = 1..6: Stirling-series correction terms.
 _STIRLING_COEFF = tuple(
-    float(b / (2 * (k + 1) * (2 * (k + 1) - 1))) for k, b in enumerate(_BERNOULLI[:6])
+    num / (den * 2 * k * (2 * k - 1)) for k, (num, den) in enumerate(_BERNOULLI[:6], 1)
 )
 
 # Lanczos approximation, g = 607/128, 15 terms (Numerical Recipes 3rd ed.).
@@ -179,21 +179,27 @@ def hurwitz_zeta(s: float, a: float) -> float:
         raise DomainError(f"hurwitz_zeta: requires s > 1, got s={s}")
     if a <= 0.0:
         raise DomainError(f"hurwitz_zeta: requires a > 0, got a={a}")
+    return _hurwitz(s, a)
+
+
+def _hurwitz(s: float, a: float) -> float:
+    # hurwitz_zeta for callers that already hold s > 1 and 0 < a < inf.
+    neg_s = -s
     acc = 0.0
     shifted = a
     while shifted < 1.0:
-        acc += shifted ** (-s)
+        acc += shifted**neg_s
         shifted += 1.0
     # Direct terms until the tail expansion point is comfortably large.
     n_direct = max(0, 16 - int(shifted))
     for n in range(n_direct):
-        acc += (shifted + n) ** (-s)
+        acc += (shifted + n) ** neg_s
     x = shifted + n_direct
     acc += x ** (1.0 - s) / (s - 1.0)
-    acc += 0.5 * x ** (-s)
+    acc += 0.5 * x**neg_s
     rising = s
     for k in range(1, 11):
-        term = _EM_COEFF[k - 1] * rising * x ** (-s - 2 * k + 1)
+        term = _EM_COEFF[k - 1] * rising * x ** (neg_s - 2 * k + 1)
         acc += term
         if abs(term) < _ABS_TOL * abs(acc):
             break

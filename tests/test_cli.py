@@ -10,6 +10,8 @@ import sys
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casimir_slab import cli
 
@@ -195,6 +197,10 @@ def test_sweep_range_validation(capsys):
         code, _, err = run_cli(capsys, "sweep", "--dims", dims)
         assert code == 2
         assert "--dims" in err
+    for length in ("-1", "nan"):
+        code, _, err = run_cli(capsys, "sweep", "--length", length)
+        assert code == 2
+        assert err.startswith("error: --length: "), err
 
 
 # ----------------------------------------------------------------- verify
@@ -290,6 +296,14 @@ GOLDEN = [
      "278da793b0b73946ba2100c632c494ed8e991954d029d840666f6a455138c22d"),
     ("sweep --dims 2:24 --length 0.37",
      "9b3db8fa32ab0eee6d6a1a3fcdd6246d1250ed6559389b1a27c1cf59eeb6f390"),
+    ("profile --dim 21 --theory maxwell --bc metallic --length 0.37 --samples 2000 --format json",
+     "942f73289cca009b9a117bf0100098b810231feb57cdeaf6b713985c7ddc2052"),
+    ("profile --dim 7 --theory scalar-canonical --bc neumann --length 7.5 --samples 2000",
+     "3e32aace8b87e2a97835672fd01b1863f3a222e7a3d58cae926b89ebfb409736"),
+    ("profile --dim 12 --theory maxwell --bc mit --subtracted --length 1e-3 --samples 2000",
+     "5ee6c93a4e68eecfa9d0e684848f93de2b4041cc6173f578f8084f4b258f301a"),
+    ("fluctuations --dim 17 --bc metallic --length 2.5 --samples 2000 --format json",
+     "0e3cfabedd452d0fa20878fcca0539aaba3761ab0fc3ee191dead6cc37f7967c"),
 ]
 
 
@@ -298,6 +312,49 @@ def test_golden_output_bytes(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def test_json_output_is_strict_json(capsys):
+    # json.dumps would print Infinity/NaN for a non-finite value; such
+    # values must exit 2 instead, so every emitted document is strict JSON.
+    for argv in (
+        ["pressure", "--dim", "24", "--length", "1e-12", "--format", "json"],
+        ["profile", "--dim", "24", "--length", "1e-11", "--samples", "8", "--format", "json"],
+        ["profile", "--dim", "9", "--theory", "scalar-improved", "--format", "json"],
+        ["profile", "--dim", "24", "--subtracted", "--length", "1e-12", "--format", "json"],
+        ["fluctuations", "--dim", "24", "--length", "1e-11", "--samples", "8", "--format", "json"],
+        ["sweep", "--dims", "2:24", "--length", "1e-12", "--format", "json"],
+        ["verify", "--quick", "--format", "json"],
+    ):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        doc = json.loads(out, parse_constant=_reject_constant)
+        assert all(len(row) == len(doc["columns"]) for row in doc["rows"])
+
+
+_CELLS = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300])
+    | st.floats(min_value=1e-300, max_value=1e300)
+    | st.integers()
+    | st.text()
+)
+
+
+@given(
+    config=st.dictionaries(st.text(), st.integers() | st.text() | st.booleans(), max_size=4),
+    columns=st.lists(st.text(), max_size=6),
+    rows=st.lists(st.lists(_CELLS, max_size=6), max_size=8),
+)
+@settings(max_examples=300)
+def test_json_writer_matches_json_dumps(config, columns, rows):
+    rounded = [[float(f"{v:.11e}") if isinstance(v, float) else v for v in row] for row in rows]
+    doc = {"config": config, "columns": columns, "rows": rounded}
+    assert cli._json_text(config, columns, rows) == json.dumps(doc, indent=2) + "\n"
 
 
 def test_json_output_validates_against_shipped_schema(capsys):
@@ -329,6 +386,11 @@ def test_usage_errors_exit_2(capsys):
         ["pressure", "--dim", "24", "--length", "1e300"],
         ["profile", "--dim", "22", "--length", "1e-15"],
         ["sweep", "--dims", "2:24", "--length", "1e13"],
+        ["pressure", "--dim", "24", "--length", "1e-13"],
+        ["profile", "--dim", "24", "--length", "1e-12", "--samples", "8"],
+        ["fluctuations", "--dim", "24", "--length", "1e-12", "--samples", "8"],
+        ["sweep", "--dims", "20:24", "--length", "1e-13", "--format", "json"],
+        ["sweep", "--length", "-1"],
         ["pressure", "--output", "/nonexistent-casimir-dir/x.csv"],
     ]
     for argv in cases:
@@ -341,14 +403,16 @@ def test_usage_errors_exit_2(capsys):
 def test_cli_import_does_not_load_numpy():
     # verify (numpy, oracles) is imported only by the verify command.
     src = os.path.dirname(os.path.dirname(cli.__file__))
+    # specfun keeps its Bernoulli numbers as integer pairs, not fractions.
+    probe = "import sys, casimir_slab.cli; print(sorted({'numpy', 'fractions'} & set(sys.modules)))"
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, casimir_slab.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", probe],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entry_point():

@@ -1,13 +1,14 @@
 """Core physics tests: energies, pressures, stress tensors, profiles."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casimir_slab import core
+from casimir_slab import core, specfun
 from casimir_slab.core import (
     EmBC,
     Region,
@@ -163,6 +164,115 @@ def test_unrepresentable_amplitude_raises_domain_error(dim, length):
             core.em_fluctuations(st, EmBC.METALLIC, 0.5 * length)
         with pytest.raises(DomainError):
             core.subtracted_profile(st, EmBC.METALLIC, [-length, 0.5 * length])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: core.base_energy_density(Spacetime(2, 2.2e-155)),
+        lambda: core.pressure(Spacetime(24, 1e-13), MAXWELL_METALLIC),
+        lambda: core.em_stress(Spacetime(24, 1e-12), EmBC.METALLIC, 1e-12 / 16),
+        lambda: core.scalar_stress(Spacetime(24, 1e-12), ScalarBC.DIRICHLET, 1e-12 / 16),
+        lambda: core.em_fluctuations(Spacetime(24, 1e-12), EmBC.MIT, 1e-12 / 16),
+        lambda: core.subtracted_profile(Spacetime(24, 1e-13), EmBC.METALLIC, [0.5e-13]),
+        lambda: core.single_plate_stress(24, EmBC.METALLIC, 1e-13),
+    ],
+    ids=["e0", "pressure", "em_stress", "scalar_stress", "em_fluctuations", "subtracted", "single"],
+)
+def test_overflowing_result_raises_domain_error(call):
+    # The amplitude is representable but a reported value (e0 zeta(D),
+    # the Maxwell pressure factor, f(z/L) near a plate) overflows.
+    with pytest.raises(DomainError):
+        call()
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def test_scalar_functions_are_bitwise_views_of_the_grid_kernels():
+    # A grid row must not depend on the other points of its grid.
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        dim = int(rng.integers(3, 25))
+        st = Spacetime(dim, float(10.0 ** rng.uniform(-2.0, 2.0)))
+        zs = [float(z) for z in st.plate_gap_L * rng.uniform(1e-3, 1.0 - 1e-3, size=50)]
+        ebc = (EmBC.METALLIC, EmBC.MIT)[int(rng.integers(2))]
+        sbc = ebc.scalar_bc
+        improved = bool(rng.integers(2))
+        em = core.em_stress_rows(st, ebc, zs)
+        scalar = core.scalar_stress_rows(st, sbc, zs, improved)
+        canonical = core.scalar_stress_rows(st, sbc, zs)
+        fluct = core.em_fluctuations_rows(st, ebc, zs)
+        for i, z in enumerate(zs):
+            assert _bits(em[i]) == _bits(astuple(core.em_stress(st, ebc, z)))
+            assert _bits(scalar[i]) == _bits(astuple(core.scalar_stress(st, sbc, z, improved)))
+            assert _bits(canonical[i][:1]) == _bits([core.scalar_energy_density(st, sbc, z)])
+            assert _bits(fluct[i]) == _bits(astuple(core.em_fluctuations(st, ebc, z)))
+        wide = [z - st.plate_gap_L for z in zs] + [z + st.plate_gap_L for z in zs] + zs
+        rows = core.subtracted_rows(st, ebc, wide)
+        for z, *tensor, region in rows:
+            (sample,) = core.subtracted_profile(st, ebc, [z]).samples
+            assert (sample.z, sample.region) == (z, region)
+            assert _bits(tensor) == _bits(astuple(sample.tensor))
+
+
+def _reference_row(kind, st, bc, z):
+    # The per-point formulas the grid kernels replaced, written out with
+    # their original operand order; any reordering changes low bits.
+    dim, length = st.dim_D, st.plate_gap_L
+    hz = specfun.hurwitz_zeta
+    scale, zeta = core._amplitude(dim, length)
+    s = 1.0 if bc in (ScalarBC.DIRICHLET, EmBC.METALLIC) else -1.0
+    x = z / length
+    e0 = -(scale * zeta)
+    if kind == "fluctuations":
+        f = hz(float(dim), x) + hz(float(dim), 1.0 - x)
+        ez2 = (dim - 2) * scale * (zeta + s * 0.5 * f)
+        ei2 = -2.0 * scale * (zeta - s * 0.5 * f)
+        return (ez2, ei2, -ez2, 0.0 if dim == 3 else -ei2)
+    if kind == "scalar":
+        f = hz(float(dim), x) + hz(float(dim), 1.0 - x)
+        tzz = (dim - 1) * e0
+        t00 = -scale * (zeta + s * (dim / 2.0 - 1.0) * f)
+    elif kind == "maxwell":
+        f = hz(float(dim), x) + hz(float(dim), 1.0 - x)
+        tzz = ((dim - 2) * (dim - 1)) * e0
+        coef = dim / 2.0 - 2.0
+        t00 = (dim - 2) * e0 if coef == 0.0 else -(dim - 2) * scale * (zeta + s * coef * f)
+    else:  # subtracted
+        coef = dim / 2.0 - 2.0
+        tzz = 0.0
+        if z < 0.0:
+            bracket = -s * coef * (length / (length - z)) ** dim
+        elif z > length:
+            bracket = -s * coef * (length / z) ** dim
+        else:
+            bracket = zeta + s * coef * (hz(float(dim), 1.0 + x) + hz(float(dim), 2.0 - x))
+            tzz = ((dim - 2) * (dim - 1)) * -(scale * zeta)
+        t00 = -(dim - 2) * scale * bracket
+    return (t00 + 0.0, tzz + 0.0, -t00 + 0.0, (dim - 1) * t00 - tzz + 0.0)
+
+
+def test_grid_kernels_keep_the_reference_arithmetic():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        dim = int(rng.integers(3, 25))
+        st = Spacetime(dim, float(10.0 ** rng.uniform(-2.0, 2.0)))
+        length = st.plate_gap_L
+        zs = [float(z) for z in length * rng.uniform(1e-3, 1.0 - 1e-3, size=25)]
+        ebc = (EmBC.METALLIC, EmBC.MIT)[int(rng.integers(2))]
+        kernels = {
+            "maxwell": core.em_stress_rows(st, ebc, zs),
+            "scalar": core.scalar_stress_rows(st, ebc.scalar_bc, zs),
+            "fluctuations": core.em_fluctuations_rows(st, ebc, zs),
+        }
+        for kind, rows in kernels.items():
+            for z, row in zip(zs, rows):
+                assert _bits(row) == _bits(_reference_row(kind, st, ebc, z)), (kind, dim, z)
+        wide = [z - length for z in zs] + zs + [z + length for z in zs]
+        for z, *tensor, _ in core.subtracted_rows(st, ebc, wide):
+            assert _bits(tensor) == _bits(_reference_row("subtracted", st, ebc, z)), (dim, z)
 
 
 def test_pressure_matches_energy_derivative():
