@@ -20,8 +20,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
-from typing import Sequence
+from itertools import groupby
+from operator import eq, neg
+from typing import Sequence, TextIO
 
 from . import core
 from .core import EmBC, Region, ScalarBC, Spacetime, Theory, TheoryKind
@@ -38,28 +41,105 @@ def _round12(value: float) -> float:
     return float(f"{value:.11e}")
 
 
-def _csv_text(config: dict[str, object], columns: list[str], rows: list[tuple]) -> str:
-    # Every row of a table has the cell types of its first row, so one
-    # line format serves the whole table.
-    line = ",".join("{:.11e}" if isinstance(v, float) else "{}" for v in rows[0]) if rows else ""
-    lines = [f"# units: {config['units']}", ",".join(columns)]
-    lines.extend(line.format(*row) for row in rows)
-    return "\n".join(lines) + "\n"
+# Rows are transposed and written this many at a time, so a large table is
+# converted column by column without holding the whole document.
+_BLOCK_ROWS = 4096
+
+# (cell separator, row opening, row closing, row separator, empty row)
+_LAYOUT = {
+    "csv": (",", "", "\n", "", "\n"),
+    "json": (",\n      ", "    [\n      ", "\n    ]", ",\n", "    []"),
+}
+
+# "%.12g" has the digits of repr(float(f"{v:.11e}")), and its layout too
+# except on lines it writes without a point or exponent (integral values,
+# where repr adds ".0"), with an exponent of 12 to 15 (repr writes those
+# positionally) or with an exponent of -300 and below (subnormals, where
+# repr may need fewer digits). Compiled on first use, by re's cache, so
+# that importing the CLI does not pay for it.
+_JSON_RELAYOUT = r"(?m)^-?\d+$|^-?\d(?:\.\d+)?e(?:\+1[2-5]|-3\d\d)$"
 
 
-def _json_text(config: dict[str, object], columns: list[str], rows: list[tuple]) -> str:
-    """json.dumps({config, columns, rows}, indent=2) + "\n", floats rounded to 12 digits.
+def _relayout(match: re.Match) -> str:
+    return repr(float(match.group()))
 
-    The rows are written here because json.dumps with indent uses its
-    pure-Python encoder, which costs more than evaluating a large grid.
+
+def _cell(value: object, fmt: str) -> str:
+    if isinstance(value, float):
+        return f"{value:.11e}" if fmt == "csv" else repr(_round12(value))
+    return str(value) if fmt == "csv" else json.dumps(value)
+
+
+def _float_lines(column: tuple, fmt: str) -> str:
+    # The cells of a float column, one per line, formatted in one C-level pass.
+    if fmt == "csv":
+        return "\n".join(["%.11e"] * len(column)) % column
+    return re.sub(_JSON_RELAYOUT, _relayout, "\n".join(["%.12g"] * len(column)) % column)
+
+
+def _column_texts(rows: list[tuple], fmt: str) -> list[list[str]]:
+    """The cell texts of rows of equal length, one list per column."""
+    texts = []
+    negatable = []  # earlier float columns without a zero, with their lines
+    for column in zip(*rows):
+        kinds = set(map(type, column))
+        kind = kinds.pop()
+        if kinds:  # mixed types
+            texts.append([_cell(v, fmt) for v in column])
+        elif not issubclass(kind, float):
+            memo = {v: _cell(v, fmt) for v in set(column)}
+            texts.append(list(map(memo.__getitem__, column)))
+        elif column.count(column[0]) == len(column) and column[0] != 0.0:
+            # 0.0 == -0.0, so a zero column is not known to be constant
+            texts.append([_cell(column[0], fmt)] * len(column))
+        else:
+            for other, other_lines in negatable:
+                if column[0] == -other[0] and all(map(eq, column, map(neg, other))):
+                    # Formatting is odd in the sign, and neither column has a zero.
+                    lines = ("-" + other_lines.replace("\n", "\n-")).replace("--", "")
+                    break
+            else:
+                lines = _float_lines(column, fmt)
+                if 0.0 not in column:
+                    negatable.append((column, lines))
+            texts.append(lines.split("\n"))
+    return texts
+
+
+def _rows_text(rows: list[tuple], fmt: str) -> str:
+    cell_sep, row_open, row_close, row_sep, empty_row = _LAYOUT[fmt]
+    parts = []
+    for width, group in groupby(rows, len):
+        group = list(group)
+        if width == 0:
+            parts.append(row_sep.join([empty_row] * len(group)))
+        else:
+            lines = map(cell_sep.join, zip(*_column_texts(group, fmt)))
+            parts.append(row_open + (row_close + row_sep + row_open).join(lines) + row_close)
+    return row_sep.join(parts)
+
+
+def _write_table(
+    out: TextIO, config: dict[str, object], columns: list[str], rows: list[tuple], fmt: str
+) -> None:
+    """Write a table as CSV, or as json.dumps({config, columns, rows}, indent=2) + "\n".
+
+    Floats print with 12 significant digits: f"{v:.11e}" in CSV, and in
+    JSON the repr of that rounded value. The rows are not handed to
+    json.dumps because with indent it uses its pure-Python encoder, which
+    costs more than evaluating a large grid.
     """
-    items = []
-    for row in rows:
-        cells = [repr(float(f"{v:.11e}")) if isinstance(v, float) else json.dumps(v) for v in row]
-        items.append("    [\n      " + ",\n      ".join(cells) + "\n    ]" if cells else "    []")
-    body = "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
-    head = json.dumps({"config": config, "columns": columns}, indent=2)
-    return head[:-2] + ',\n  "rows": ' + body + "\n}\n"
+    if fmt == "json":
+        head = json.dumps({"config": config, "columns": columns}, indent=2)
+        out.write(head[:-2] + ',\n  "rows": ' + ("[\n" if rows else "[]"))
+        tail = ("\n  ]" if rows else "") + "\n}\n"
+    else:
+        out.write(f"# units: {config['units']}\n" + ",".join(columns) + "\n")
+        tail = ""
+    row_sep = _LAYOUT[fmt][3]
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        out.write((row_sep if start else "") + _rows_text(rows[start : start + _BLOCK_ROWS], fmt))
+    out.write(tail)
 
 
 def _render(
@@ -69,15 +149,14 @@ def _render(
     fmt: str,
     output: str | None,
 ) -> None:
-    text = (_json_text if fmt == "json" else _csv_text)(config, columns, rows)
     if output is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(output, "w", newline="") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise UsageError(f"--output: {exc}") from exc
+        _write_table(sys.stdout, config, columns, rows, fmt)
+        return
+    try:
+        with open(output, "w", newline="") as handle:
+            _write_table(handle, config, columns, rows, fmt)
+    except OSError as exc:
+        raise UsageError(f"--output: {exc}") from exc
 
 
 _THEORY_KINDS = {k.value: k for k in TheoryKind}

@@ -132,7 +132,12 @@ def _zeta_em(s: float) -> float:
     n_direct = 20
     acc = 0.0
     for n in range(1, n_direct):
-        acc += float(n) ** (-s)
+        # The terms do not grow for s >= 0, and rounding is monotonic: once
+        # one leaves the sum unchanged, none of the later ones can change it.
+        total = acc + float(n) ** (-s)
+        if total == acc:
+            break
+        acc = total
     big_n = float(n_direct)
     acc += 0.5 * big_n ** (-s)
     acc += big_n ** (1.0 - s) / (s - 1.0)
@@ -172,6 +177,9 @@ def hurwitz_zeta(s: float, a: float) -> float:
     argument exceeds 1 (this keeps the near-plate evaluations exact in
     the dominant term), then a short direct sum plus an Euler-Maclaurin
     tail with Bernoulli numbers through B_20 finishes the job.
+
+    Raises DomainError outside that domain, and when the leading term
+    a^-s overflows a double (a tiny a, as in hurwitz_zeta(2, 1e-200)).
     """
     if not (math.isfinite(s) and math.isfinite(a)):
         raise DomainError("hurwitz_zeta: arguments must be finite")
@@ -188,12 +196,20 @@ def _hurwitz(s: float, a: float) -> float:
     acc = 0.0
     shifted = a
     while shifted < 1.0:
-        acc += shifted**neg_s
+        try:
+            acc += shifted**neg_s
+        except OverflowError:
+            raise DomainError(f"hurwitz_zeta: a**-s overflows a double at s={s}, a={a}") from None
         shifted += 1.0
-    # Direct terms until the tail expansion point is comfortably large.
+    # Direct terms until the tail expansion point is comfortably large. The
+    # terms decrease and rounding is monotonic, so the first one that leaves
+    # the sum unchanged ends the loop without changing a bit of the result.
     n_direct = max(0, 16 - int(shifted))
     for n in range(n_direct):
-        acc += (shifted + n) ** neg_s
+        total = acc + (shifted + n) ** neg_s
+        if total == acc:
+            break
+        acc = total
     x = shifted + n_direct
     acc += x ** (1.0 - s) / (s - 1.0)
     acc += 0.5 * x**neg_s

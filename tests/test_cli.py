@@ -1,6 +1,7 @@
 """CLI tests: exit codes, formats, determinism, schema conformance."""
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import re
 import subprocess
 import sys
 from importlib import resources
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -304,6 +306,14 @@ GOLDEN = [
      "5ee6c93a4e68eecfa9d0e684848f93de2b4041cc6173f578f8084f4b258f301a"),
     ("fluctuations --dim 17 --bc metallic --length 2.5 --samples 2000 --format json",
      "0e3cfabedd452d0fa20878fcca0539aaba3761ab0fc3ee191dead6cc37f7967c"),
+    # Large grids; in the fluctuations one about a third of the cells lie
+    # in 1e12..1e16, where JSON prints floats positionally.
+    ("profile --dim 21 --theory maxwell --bc metallic --length 0.37 --samples 20000 --format json",
+     "fd7d603ecde14efd973df078df6e1d836c261b9717cab365b94890a09fb99d86"),
+    ("fluctuations --dim 16 --bc mit --length 0.24181776784246303 --samples 20000 --format json",
+     "53c1f19d251bf19d54427e416d54e1cb9ec3f1be44f2b9d84207ceb3ceb089ca"),
+    ("profile --dim 9 --theory scalar-canonical --bc dirichlet --length 2.5 --samples 20000",
+     "7e685b96d419a0ebe5e0b609300eae8cf7f2eafe2a9f43d5eb0d5304cc2128f4"),
 ]
 
 
@@ -344,6 +354,33 @@ _CELLS = (
     | st.text()
 )
 
+# Floats where the layout of f"{v:.12g}" and of the repr of the rounded
+# value part ways, or nearly do.
+_LAYOUT_EDGES = [
+    0.0, 1.0, 3.0, 123456789012.0, 2.0000000000001, 0.5, 1e-4, 9.99999999999995e-5,
+    9.9999999999995e11, 9.99999999999949e11, 1e12, 1.5e12, 1e13, 1e14, 1e15, 9.99999999999995e15,
+    1e16, 1.5e16, 1e17, 1e300, 1.7976931348623157e308, 1e-299, 9.99999999999e-301, 1e-300,
+    2.2250738585072014e-308, 2.225073858507201e-308, 1e-310, 5e-324,
+]
+_EDGE_FLOATS = st.sampled_from(_LAYOUT_EDGES + [-v for v in _LAYOUT_EDGES])
+
+
+def _table_text(config, columns, rows, fmt):
+    out = io.StringIO()
+    cli._write_table(out, config, columns, rows, fmt)
+    return out.getvalue()
+
+
+def _json_reference(config, columns, rows):
+    rounded = [[float(f"{v:.11e}") if isinstance(v, float) else v for v in row] for row in rows]
+    return json.dumps({"config": config, "columns": columns, "rows": rounded}, indent=2) + "\n"
+
+
+def _csv_reference(config, columns, rows):
+    lines = [f"# units: {config['units']}", ",".join(columns)]
+    lines += [",".join(f"{v:.11e}" if isinstance(v, float) else str(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
 
 @given(
     config=st.dictionaries(st.text(), st.integers() | st.text() | st.booleans(), max_size=4),
@@ -352,9 +389,58 @@ _CELLS = (
 )
 @settings(max_examples=300)
 def test_json_writer_matches_json_dumps(config, columns, rows):
-    rounded = [[float(f"{v:.11e}") if isinstance(v, float) else v for v in row] for row in rows]
-    doc = {"config": config, "columns": columns, "rows": rounded}
-    assert cli._json_text(config, columns, rows) == json.dumps(doc, indent=2) + "\n"
+    assert _table_text(config, columns, rows, "json") == _json_reference(config, columns, rows)
+
+
+@st.composite
+def _column_tables(draw):
+    """Rows built column by column, so that each branch of the writer runs:
+    constant columns, negated copies of earlier columns (exact, with zeros,
+    normalised by + 0.0 or off by one cell), layout edges, mixed types,
+    and ragged rows after them."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    floats = st.floats(allow_nan=False, allow_infinity=False) | _EDGE_FLOATS
+    cols = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        kind = draw(st.sampled_from(["constant", "negated", "floats", "mixed", "text"]))
+        if kind == "constant":
+            cols.append([draw(floats | st.integers() | st.text())] * n)
+        elif kind == "negated" and any(set(map(type, c)) == {float} for c in cols):
+            base = draw(st.sampled_from([c for c in cols if set(map(type, c)) == {float}]))
+            col = [-v + 0.0 if draw(st.booleans()) else -v for v in base]
+            if draw(st.booleans()):
+                i = draw(st.integers(min_value=0, max_value=n - 1))
+                col[i] = draw(floats)
+            cols.append(col)
+        elif kind == "mixed":
+            cols.append(draw(st.lists(_CELLS | _EDGE_FLOATS, min_size=n, max_size=n)))
+        elif kind == "text":
+            cols.append(draw(st.lists(st.sampled_from(["interior", "a,b", '"q"', ""]),
+                                      min_size=n, max_size=n)))
+        else:
+            cols.append(draw(st.lists(floats, min_size=n, max_size=n)))
+    rows = [tuple(row) for row in zip(*cols)]
+    rows += draw(st.lists(st.lists(_CELLS | _EDGE_FLOATS, max_size=4), max_size=4))
+    return rows
+
+
+@given(rows=_column_tables(), block=st.sampled_from([1, 2, 3, 4096]))
+@settings(max_examples=400)
+def test_column_writer_matches_the_per_cell_references(rows, block):
+    config = {"units": "u", "command": "x"}
+    columns = [f"c{i}" for i in range(len(rows[0]))]
+    with mock.patch.object(cli, "_BLOCK_ROWS", block):
+        assert _table_text(config, columns, rows, "json") == _json_reference(config, columns, rows)
+        assert _table_text(config, columns, rows, "csv") == _csv_reference(config, columns, rows)
+
+
+def test_column_writer_layout_edges():
+    config = {"units": "u"}
+    rows = [(v, -v, v, 7, "interior") for v in _LAYOUT_EDGES]
+    rows += [(v, v, -v, 7, "interior") for v in _LAYOUT_EDGES]
+    for fmt, reference in (("json", _json_reference), ("csv", _csv_reference)):
+        for table in (rows, [(v,) for v in _LAYOUT_EDGES], [(-0.0,)] * 3, [(0.0, -0.0)] * 3, []):
+            assert _table_text(config, ["a"], table, fmt) == reference(config, ["a"], table)
 
 
 def test_json_output_validates_against_shipped_schema(capsys):

@@ -1,11 +1,13 @@
 """Core physics tests: energies, pressures, stress tensors, profiles."""
 
 import math
+import sys
 from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from casimir_slab import core, specfun
@@ -176,14 +178,70 @@ def test_unrepresentable_amplitude_raises_domain_error(dim, length):
         lambda: core.em_fluctuations(Spacetime(24, 1e-12), EmBC.MIT, 1e-12 / 16),
         lambda: core.subtracted_profile(Spacetime(24, 1e-13), EmBC.METALLIC, [0.5e-13]),
         lambda: core.single_plate_stress(24, EmBC.METALLIC, 1e-13),
+        # (z/L)**-D itself overflows inside the Hurwitz sum
+        lambda: core.f_profile(Spacetime(24, 1.0), 1e-20),
+        lambda: core.em_stress(Spacetime(24, 1.0), EmBC.METALLIC, 1e-20),
+        lambda: core.scalar_stress(Spacetime(24, 1.0), ScalarBC.NEUMANN, 1e-20),
+        lambda: core.em_fluctuations(Spacetime(24, 1.0), EmBC.METALLIC, 1.0 - 1e-16),
+        lambda: core.em_stress_rows(Spacetime(13, 2.0), EmBC.MIT, [1.0, 2e-30]),
     ],
-    ids=["e0", "pressure", "em_stress", "scalar_stress", "em_fluctuations", "subtracted", "single"],
+    ids=[
+        "e0", "pressure", "em_stress", "scalar_stress", "em_fluctuations", "subtracted", "single",
+        "f_profile-tiny-x", "em_stress-tiny-x", "scalar_stress-tiny-x", "em_fluctuations-x-near-1",
+        "em_stress_rows-tiny-x",
+    ],
 )
 def test_overflowing_result_raises_domain_error(call):
     # The amplitude is representable but a reported value (e0 zeta(D),
     # the Maxwell pressure factor, f(z/L) near a plate) overflows.
     with pytest.raises(DomainError):
         call()
+
+
+_CONTRACT_CALLS = {
+    "em_stress": lambda st_, bc, z, improved: astuple(core.em_stress(st_, bc, z)),
+    "scalar_stress": lambda st_, bc, z, improved: astuple(
+        core.scalar_stress(st_, bc.scalar_bc, z, improved)
+    ),
+    "em_fluctuations": lambda st_, bc, z, improved: astuple(core.em_fluctuations(st_, bc, z)),
+    "f_profile": lambda st_, bc, z, improved: (core.f_profile(st_, z / st_.plate_gap_L),),
+}
+
+
+def _normal(value):
+    return sys.float_info.min <= abs(value) <= sys.float_info.max
+
+
+@given(
+    name=st.sampled_from(sorted(_CONTRACT_CALLS)),
+    dim=st.integers(min_value=2, max_value=24),
+    length=st.floats(min_value=1e-300, max_value=1e300),
+    frac=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    bc=st.sampled_from(list(EmBC)),
+    improved=st.booleans(),
+)
+@settings(max_examples=1000)
+def test_error_contract_and_length_scaling(name, dim, length, frac, bc, improved):
+    # Every call returns finite values or raises DomainError, never another
+    # exception; and a density at L is the L = 1 density times L^-D.
+    z = frac * length
+    assume(0.0 < z < length)
+    call = _CONTRACT_CALLS[name]
+    try:
+        got = call(Spacetime(dim, length), bc, z, improved)
+    except DomainError:
+        return
+    assert all(map(math.isfinite, got)), got
+    try:
+        # the x = z/L the call at L used, so both calls see the same profile
+        unit = call(Spacetime(dim, 1.0), bc, z / length, improved)
+    except DomainError:
+        return
+    factor = 1 if name == "f_profile" else Fraction(length) ** -dim
+    for value, unit_value in zip(got, unit):
+        if _normal(value) and _normal(unit_value):
+            want = Fraction(unit_value) * factor
+            assert abs(Fraction(value) - want) <= abs(want) * Fraction(1e-12), (value, unit_value)
 
 
 def _bits(values):

@@ -1,6 +1,7 @@
 """Special-function tests: frozen values, brute-force oracles, properties."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -195,7 +196,11 @@ def test_hurwitz_vs_direct_sum_grid():
             assert abs(got - want) < 1e-12 * max(1.0, abs(want))
 
 
-@pytest.mark.parametrize("s,a", [(1.0, 1.0), (0.5, 1.0), (2.0, 0.0), (2.0, -1.0)])
+@pytest.mark.parametrize(
+    "s,a",
+    # the last three are valid arguments whose leading term a**-s overflows
+    [(1.0, 1.0), (0.5, 1.0), (2.0, 0.0), (2.0, -1.0), (2.0, 1e-200), (24.0, 1e-20), (30.0, 1e-12)],
+)
 def test_hurwitz_domain_errors(s, a):
     with pytest.raises(DomainError):
         specfun.hurwitz_zeta(s, a)
@@ -210,6 +215,65 @@ def test_hurwitz_telescoping(s, a):
     lhs = specfun.hurwitz_zeta(s, a) - specfun.hurwitz_zeta(s, a + 1.0)
     want = a ** (-s)
     assert abs(lhs - want) <= 1e-12 * max(1.0, abs(specfun.hurwitz_zeta(s, a)))
+
+
+def _reference_zeta_em(s):
+    # specfun._zeta_em before its direct sum learned to stop early.
+    n_direct = 20
+    acc = 0.0
+    for n in range(1, n_direct):
+        acc += float(n) ** (-s)
+    big_n = float(n_direct)
+    acc += 0.5 * big_n ** (-s)
+    acc += big_n ** (1.0 - s) / (s - 1.0)
+    rising = s
+    for k in range(1, 7):
+        acc += specfun._EM_COEFF[k - 1] * rising * big_n ** (-s - 2 * k + 1)
+        rising = rising * (s + (2 * k - 1)) * (s + 2 * k)
+    return acc
+
+
+def _reference_hurwitz(s, a):
+    # specfun._hurwitz before its direct sum learned to stop early.
+    neg_s = -s
+    acc = 0.0
+    shifted = a
+    while shifted < 1.0:
+        acc += shifted**neg_s
+        shifted += 1.0
+    n_direct = max(0, 16 - int(shifted))
+    for n in range(n_direct):
+        acc += (shifted + n) ** neg_s
+    x = shifted + n_direct
+    acc += x ** (1.0 - s) / (s - 1.0)
+    acc += 0.5 * x**neg_s
+    rising = s
+    for k in range(1, 11):
+        term = specfun._EM_COEFF[k - 1] * rising * x ** (neg_s - 2 * k + 1)
+        acc += term
+        if abs(term) < specfun._ABS_TOL * abs(acc):
+            break
+        rising = rising * (s + (2 * k - 1)) * (s + 2 * k)
+    return acc
+
+
+def test_early_exit_keeps_every_bit_of_the_zeta_sums():
+    rng = random.Random(5)
+    for i in range(100_000):
+        # integer and non-integer orders; near-plate and ordinary arguments
+        s = float(rng.randint(2, 30)) if i % 3 == 0 else rng.uniform(1.01, 30.0)
+        a = 10.0 ** rng.uniform(-12.0, 0.0) if i % 2 == 0 else rng.uniform(1.0, 3.0)
+        try:
+            want = _reference_hurwitz(s, a)
+        except OverflowError:
+            with pytest.raises(DomainError):
+                specfun._hurwitz(s, a)
+            continue
+        assert specfun._hurwitz(s, a).hex() == want.hex(), (s, a)
+    for _ in range(20_000):
+        s = rng.uniform(0.0, 30.0)
+        if s != 1.0:
+            assert specfun._zeta_em(s).hex() == _reference_zeta_em(s).hex(), s
 
 
 # -------------------------------------------------------------- polygamma
