@@ -36,14 +36,7 @@ from .core import (
     total_energy_per_area,
 )
 from .errors import DomainError, IllConditionedFitError, InsufficientSamplesError
-from .specfun import (
-    cot_derivative,
-    coulomb_potential,
-    gamma,
-    hurwitz_zeta,
-    polygamma,
-    riemann_zeta,
-)
+from .specfun import cot_derivative, gamma, hurwitz_zeta, riemann_zeta
 
 __version__ = "0.1.0"
 
@@ -55,9 +48,7 @@ __all__ = [
     "gamma",
     "riemann_zeta",
     "hurwitz_zeta",
-    "polygamma",
     "cot_derivative",
-    "coulomb_potential",
     "ScalarBC",
     "EmBC",
     "TheoryKind",

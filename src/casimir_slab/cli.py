@@ -19,7 +19,6 @@ unpredictable way.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from itertools import groupby
@@ -67,7 +66,10 @@ def _relayout(match: re.Match) -> str:
 def _cell(value: object, fmt: str) -> str:
     if isinstance(value, float):
         return f"{value:.11e}" if fmt == "csv" else repr(_round12(value))
-    return str(value) if fmt == "csv" else json.dumps(value)
+    if fmt == "csv":
+        return str(value)
+    import json  # here and in _write_table only, so that writing CSV never loads it
+    return json.dumps(value)
 
 
 def _float_lines(column: tuple, fmt: str) -> str:
@@ -130,6 +132,7 @@ def _write_table(
     costs more than evaluating a large grid.
     """
     if fmt == "json":
+        import json
         head = json.dumps({"config": config, "columns": columns}, indent=2)
         out.write(head[:-2] + ',\n  "rows": ' + ("[\n" if rows else "[]"))
         tail = ("\n  ]" if rows else "") + "\n}\n"

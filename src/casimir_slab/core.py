@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import add
 from typing import Iterable
 
 from . import specfun
@@ -228,9 +229,12 @@ def _bc_sign(bc: ScalarBC | EmBC) -> float:
     return 1.0 if scalar is ScalarBC.DIRICHLET else -1.0
 
 
+_OVERFLOW = "D={}: a result overflows a double (small length or z near a plate)"
+
+
 def _finite(value: float, dim: int) -> float:
     if not math.isfinite(value):
-        raise DomainError(f"D={dim}: a result overflows a double (small length or z near a plate)")
+        raise DomainError(_OVERFLOW.format(dim))
     return value
 
 
@@ -239,7 +243,7 @@ def _stress_row(dim: int, t00: float, tzz: float) -> tuple[float, float, float, 
     # to the transverse metric in the barred block, so t_transverse =
     # -t00 and the trace follows. The "+ 0.0" normalizes negative zeros
     # produced by vanishing coefficients so reports never print -0. A
-    # finite trace implies finite t00 and tzz.
+    # finite trace implies finite t00 and tzz. The grid kernels inline it.
     trace = _finite((dim - 1) * t00 - tzz + 0.0, dim)
     return (t00 + 0.0, tzz + 0.0, -t00 + 0.0, trace)
 
@@ -258,16 +262,23 @@ def _interior_xs(st: Spacetime, grid: Iterable[float]) -> list[float]:
     return xs
 
 
+def _image_profile(dim: int, firsts: Iterable[float], seconds: Iterable[float]) -> Iterable[float]:
+    # zeta_H(D, a) + zeta_H(D, b) for the pairs (a, b), one Hurwitz loop per family.
+    d = float(dim)
+    return map(add, specfun._hurwitz_many(d, firsts), specfun._hurwitz_many(d, seconds))
+
+
 def _profile_stress_rows(
     dim: int, xs: list[float], pre: float, zeta: float, k: float, tzz: float
 ) -> list[tuple[float, float, float, float]]:
     # t00 = pre [zeta(D) + k f(x)] at each x, with a z-independent tzz.
-    hurwitz = specfun._hurwitz
-    d = float(dim)
     rows = []
-    for x in xs:
-        t00 = pre * (zeta + k * (hurwitz(d, x) + hurwitz(d, 1.0 - x)))
-        rows.append(_stress_row(dim, t00, tzz))
+    for f in _image_profile(dim, xs, (1.0 - x for x in xs)):
+        t00 = pre * (zeta + k * f)
+        trace = (dim - 1) * t00 - tzz + 0.0
+        if not -math.inf < trace < math.inf:
+            raise DomainError(_OVERFLOW.format(dim))
+        rows.append((t00 + 0.0, tzz + 0.0, -t00 + 0.0, trace))
     return rows
 
 
@@ -320,8 +331,8 @@ def f_profile(st: Spacetime, x: float) -> float:
     """
     if not 0.0 < x < 1.0:
         raise DomainError(f"f_profile: x={x} is on a plate; the image sum diverges")
-    d = float(st.dim_D)
-    return specfun._hurwitz(d, x) + specfun._hurwitz(d, 1.0 - x)
+    left, right = specfun._hurwitz_many(float(st.dim_D), (x, 1.0 - x))
+    return left + right
 
 
 def F_theta(theta: float) -> float:
@@ -381,16 +392,15 @@ def em_fluctuations_rows(st: Spacetime, bc: EmBC, grid: Iterable[float]) -> list
         raise DomainError("em_fluctuations: Maxwell needs D >= 3")
     scale, zeta = _amplitude(dim, st.plate_gap_L)
     xs = _interior_xs(st, grid)
-    hurwitz = specfun._hurwitz
-    d = float(dim)
     pre_e = (dim - 2) * scale
     pre_i = -2.0 * scale
     half = _bc_sign(bc) * 0.5
     rows = []
-    for x in xs:
-        f = hurwitz(d, x) + hurwitz(d, 1.0 - x)
-        ez2 = _finite(pre_e * (zeta + half * f), dim)
-        ei2 = _finite(pre_i * (zeta - half * f), dim)
+    for f in _image_profile(dim, xs, (1.0 - x for x in xs)):
+        ez2 = pre_e * (zeta + half * f)
+        ei2 = pre_i * (zeta - half * f)
+        if not (-math.inf < ez2 < math.inf and -math.inf < ei2 < math.inf):
+            raise DomainError(_OVERFLOW.format(dim))
         rows.append((ez2, ei2, -ez2, -ei2 if dim > 3 else 0.0))
     return rows
 
@@ -484,8 +494,8 @@ def f_tilde(st: Spacetime, x: float) -> float:
     """
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"f_tilde: x={x} outside [0, 1]")
-    d = float(st.dim_D)
-    return specfun._hurwitz(d, 1.0 + x) + specfun._hurwitz(d, 2.0 - x)
+    left, right = specfun._hurwitz_many(float(st.dim_D), (1.0 + x, 2.0 - x))
+    return left + right
 
 
 def subtracted_rows(st: Spacetime, bc: EmBC, grid: Iterable[float]) -> list[tuple]:
@@ -495,30 +505,36 @@ def subtracted_rows(st: Spacetime, bc: EmBC, grid: Iterable[float]) -> list[tupl
         raise DomainError("subtracted_profile: Maxwell needs D >= 3")
     length = st.plate_gap_L
     scale, zeta = _amplitude(dim, length)
-    hurwitz = specfun._hurwitz
-    d = float(dim)
     coef = dim / 2.0 - 2.0
     sign = _bc_sign(bc)
     k = sign * coef
     k_exterior = -sign * coef
     pre = -(dim - 2) * scale
-    tzz = ((dim - 2) * (dim - 1)) * -(scale * zeta)
+    tzz_interior = ((dim - 2) * (dim - 1)) * -(scale * zeta)
+    zs = sorted(grid)
+    xs = [z / length for z in zs if 0.0 < z < length]
+    profile = _image_profile(dim, (1.0 + x for x in xs), (2.0 - x for x in xs))
     rows = []
-    for z in sorted(grid):
+    for z in zs:
+        tzz = 0.0
         if z < 0.0:
             t00 = pre * (k_exterior * (length / (length - z)) ** dim)
-            rows.append((z, *_stress_row(dim, t00, 0.0), Region.LEFT_EXTERIOR))
+            region = Region.LEFT_EXTERIOR
         elif z > length:
             t00 = pre * (k_exterior * (length / z) ** dim)
-            rows.append((z, *_stress_row(dim, t00, 0.0), Region.RIGHT_EXTERIOR))
+            region = Region.RIGHT_EXTERIOR
         elif 0.0 < z < length:
-            x = z / length
-            t00 = pre * (zeta + k * (hurwitz(d, 1.0 + x) + hurwitz(d, 2.0 - x)))
-            rows.append((z, *_stress_row(dim, t00, tzz), Region.INTERIOR))
+            t00 = pre * (zeta + k * next(profile))
+            tzz = tzz_interior
+            region = Region.INTERIOR
         else:
             raise DomainError(
                 f"subtracted_profile: grid point z={z} sits exactly on a plate or is not a number"
             )
+        trace = (dim - 1) * t00 - tzz + 0.0
+        if not -math.inf < trace < math.inf:
+            raise DomainError(_OVERFLOW.format(dim))
+        rows.append((z, t00 + 0.0, tzz + 0.0, -t00 + 0.0, trace, region))
     return rows
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "green_mode_sum",
     "image_profile_sum",
     "cutoff_casimir_energy",
-    "finite_difference_second_derivative",
     "profile_energy_integral",
     "ProfileEnergy",
 ]
@@ -228,21 +227,6 @@ def cutoff_casimir_energy(
     norms = np.linalg.norm(design, axis=0)
     coef, *_ = np.linalg.lstsq(design / norms, energies, rcond=None)
     return float(coef[-1] / norms[-1])
-
-
-def finite_difference_second_derivative(
-    fn: Callable[[float], float], z: float, h: float
-) -> float:
-    """Central five-point stencil for f''(z), O(h^4) for smooth f."""
-    if not h > 0.0:
-        raise DomainError("finite_difference_second_derivative: requires h > 0")
-    return (
-        -fn(z - 2.0 * h)
-        + 16.0 * fn(z - h)
-        - 30.0 * fn(z)
-        + 16.0 * fn(z + h)
-        - fn(z + 2.0 * h)
-    ) / (12.0 * h * h)
 
 
 @dataclass(frozen=True)

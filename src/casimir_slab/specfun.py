@@ -3,17 +3,17 @@
 Everything downstream (energy densities, stress profiles, fluctuation
 records) reduces to the functions in this module: the gamma function,
 the Riemann zeta function including its continuation to negative
-argument, the Hurwitz zeta function, polygamma functions, repeated
-cotangent derivatives and the generalized Coulomb potential of a point
-source in n spatial dimensions.
+argument, the Hurwitz zeta function and repeated cotangent derivatives.
 
 All functions are deterministic pure maps on Python floats; there is no
 internal mutable state, so every operation is safe to call concurrently.
+Each returns a finite double or raises DomainError.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterable, Iterator
 
 from .errors import DomainError
 
@@ -21,9 +21,7 @@ __all__ = [
     "gamma",
     "riemann_zeta",
     "hurwitz_zeta",
-    "polygamma",
     "cot_derivative",
-    "coulomb_potential",
 ]
 
 
@@ -56,6 +54,9 @@ _EM_COEFF = tuple(
 _STIRLING_COEFF = tuple(
     num / (den * 2 * k * (2 * k - 1)) for k, (num, den) in enumerate(_BERNOULLI[:6], 1)
 )
+
+# (B_2k / (2k)!, 2k - 1, 2k) for k = 1..10: one step of the Hurwitz tail.
+_EM_STEPS = tuple((coeff, 2 * k - 1, 2 * k) for k, coeff in enumerate(_EM_COEFF, 1))
 
 # Lanczos approximation, g = 607/128, 15 terms (Numerical Recipes 3rd ed.).
 _LANCZOS_C0 = 0.999999999999997092
@@ -111,18 +112,24 @@ def gamma(x: float) -> float:
     Stirling series beyond, and the reflection identity
     gamma(x) gamma(1-x) = pi / sin(pi x) below 0.5.
 
-    Raises DomainError at the poles x = 0, -1, -2, ...
+    Raises DomainError at the poles x = 0, -1, -2, ..., where |gamma(x)|
+    exceeds the largest double, and below about -170.6, where gamma(1-x)
+    does (there |gamma(x)| is below the normal range of doubles).
     """
     if not math.isfinite(x):
         raise DomainError("gamma: argument must be finite")
     if x <= 0.0 and x == math.floor(x):
         raise DomainError(f"gamma: pole at non-positive integer x={x}")
-    if x < 0.5:
-        # sin(pi x) is safe here: callers stay in |x| < a few hundred.
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    if x <= 30.0:
-        return math.exp(_ln_gamma_lanczos(x))
-    return math.exp(_ln_gamma_stirling(x))
+    y = 1.0 - x if x < 0.5 else x
+    try:
+        value = math.exp(_ln_gamma_lanczos(y) if y <= 30.0 else _ln_gamma_stirling(y))
+        if x < 0.5:
+            value = math.pi / (math.sin(math.pi * x) * value)
+    except OverflowError:
+        value = math.inf
+    if not -math.inf < value < math.inf:
+        raise DomainError(f"gamma: |gamma(x)| at x={x} is outside the range of doubles")
+    return value
 
 
 def _zeta_em(s: float) -> float:
@@ -146,37 +153,42 @@ def _zeta_em(s: float) -> float:
     for k in range(1, 7):
         acc += _EM_COEFF[k - 1] * rising * big_n ** (-s - 2 * k + 1)
         rising = rising * (s + (2 * k - 1)) * (s + 2 * k)
+        if rising == math.inf:
+            break  # s is so large that every later power of big_n is 0
     return acc
 
 
 def riemann_zeta(s: float) -> float:
     """Riemann zeta function of a real argument, s != 1.
 
-    Direct Euler-Maclaurin summation for s >= 0; for s < 0 the value is
-    mapped to 1-s > 1 through the reflection formula
+    Direct Euler-Maclaurin summation for s > -0.01; below, where 1-s keeps
+    the digits of s, the reflection formula maps the value to 1-s > 1:
 
         gamma(s/2) pi^(-s/2) zeta(s) = gamma((1-s)/2) pi^((s-1)/2) zeta(1-s).
+
+    Raises DomainError where |zeta(s)| exceeds the largest double.
     """
     if not math.isfinite(s):
         raise DomainError("riemann_zeta: argument must be finite")
     if s == 1.0:
         raise DomainError("riemann_zeta: pole at s=1")
-    if s >= 0.0:
+    if s > -0.01:
         return _zeta_em(s)
     if s == math.floor(s) and int(s) % 2 == 0:
         return 0.0  # trivial zeros; the reflection route would hit a gamma pole
-    return (
-        math.pi ** (s - 0.5) * gamma((1.0 - s) / 2.0) / gamma(s / 2.0) * _zeta_em(1.0 - s)
-    )
+    value = math.pi ** (s - 0.5) * gamma((1.0 - s) / 2.0) / gamma(s / 2.0) * _zeta_em(1.0 - s)
+    if not -math.inf < value < math.inf:
+        raise DomainError(f"riemann_zeta: |zeta(s)| at s={s} exceeds the largest double")
+    return value
 
 
 def hurwitz_zeta(s: float, a: float) -> float:
     """Hurwitz zeta function sum_{n>=0} (n+a)^-s for s > 1, a > 0.
 
-    For a < 1 the leading a^-s terms are peeled off until the shifted
-    argument exceeds 1 (this keeps the near-plate evaluations exact in
-    the dominant term), then a short direct sum plus an Euler-Maclaurin
-    tail with Bernoulli numbers through B_20 finishes the job.
+    For a < 1 the leading a^-s term is peeled off (this keeps the
+    near-plate evaluations exact in the dominant term), then a short
+    direct sum plus an Euler-Maclaurin tail with Bernoulli numbers
+    through B_20 finishes the job.
 
     Raises DomainError outside that domain, and when the leading term
     a^-s overflows a double (a tiny a, as in hurwitz_zeta(2, 1e-200)).
@@ -191,50 +203,67 @@ def hurwitz_zeta(s: float, a: float) -> float:
 
 
 def _hurwitz(s: float, a: float) -> float:
-    # hurwitz_zeta for callers that already hold s > 1 and 0 < a < inf.
+    # hurwitz_zeta for callers that already hold s > 1 and 0 < a < inf. One
+    # argument reads the tail once, so it is made only as far as it is read.
+    return _hurwitz_many(s, (a,), _EM_TAILS.get(s) or _em_tail(s))[0]
+
+
+def _em_tail(s: float) -> Iterator[tuple[float, float]]:
+    # The Euler-Maclaurin tail at order s as pairs (B_2k/(2k)! s (s+1) ... (s+2k-2),
+    # -s-2k+1), k = 1..10: c * rising * x**e rounds c * rising first, so c_k x**e keeps
+    # every bit. It ends where the rising factorial overflows (x**e is 0 there).
     neg_s = -s
-    acc = 0.0
-    shifted = a
-    while shifted < 1.0:
-        try:
-            acc += shifted**neg_s
-        except OverflowError:
-            raise DomainError(f"hurwitz_zeta: a**-s overflows a double at s={s}, a={a}") from None
-        shifted += 1.0
-    # Direct terms until the tail expansion point is comfortably large. The
-    # terms decrease and rounding is monotonic, so the first one that leaves
-    # the sum unchanged ends the loop without changing a bit of the result.
-    n_direct = max(0, 16 - int(shifted))
-    for n in range(n_direct):
-        total = acc + (shifted + n) ** neg_s
-        if total == acc:
-            break
-        acc = total
-    x = shifted + n_direct
-    acc += x ** (1.0 - s) / (s - 1.0)
-    acc += 0.5 * x**neg_s
     rising = s
-    for k in range(1, 11):
-        term = _EM_COEFF[k - 1] * rising * x ** (neg_s - 2 * k + 1)
-        acc += term
-        if abs(term) < _ABS_TOL * abs(acc):
-            break
-        rising = rising * (s + (2 * k - 1)) * (s + 2 * k)
-    return acc
+    for coeff, odd, even in _EM_STEPS:
+        yield coeff * rising, neg_s - even + 1
+        rising = rising * (s + odd) * (s + even)
+        if rising == math.inf:
+            return
 
 
-def polygamma(k: int, x: float) -> float:
-    """k-th derivative of the digamma function, k >= 1, x > 0.
+# The tails of the orders the slab closed forms use, D = 2..24.
+_EM_TAILS = {float(s): list(_em_tail(float(s))) for s in range(2, 25)}
 
-    Evaluated through the Hurwitz zeta function:
-    psi^(k)(x) = (-1)^(k+1) k! zeta_H(k+1, x).
-    """
-    if k < 1 or k != int(k):
-        raise DomainError(f"polygamma: order must be a positive integer, got {k}")
-    if x <= 0.0:
-        raise DomainError(f"polygamma: requires x > 0, got x={x}")
-    sign = 1.0 if k % 2 == 1 else -1.0
-    return sign * math.factorial(k) * hurwitz_zeta(float(k + 1), x)
+
+def _hurwitz_many(
+    s: float, args: Iterable[float], tail: Iterable[tuple[float, float]] | None = None
+) -> list[float]:
+    # hurwitz_zeta(s, a) for each a, for callers that hold s > 1 and 0 < a < inf.
+    neg_s = -s
+    one_minus_s = 1.0 - s
+    s_minus_one = s - 1.0
+    if tail is None:
+        tail = _EM_TAILS.get(s) or list(_em_tail(s))
+    tol = _ABS_TOL
+    out = []
+    for a in args:
+        acc = 0.0
+        shifted = a
+        if a < 1.0:  # peel a^-s off; a + 1 >= 1
+            try:
+                acc = a**neg_s
+            except OverflowError:
+                raise DomainError(f"hurwitz_zeta: a**-s overflows a double at s={s}, a={a}") from None
+            shifted = a + 1.0
+        # Direct terms until the tail expansion point is comfortably large. The
+        # terms decrease and rounding is monotonic, so the first one that leaves
+        # the sum unchanged ends the loop without changing a bit of the result.
+        n_direct = 16 - int(shifted) if shifted < 16.0 else 0
+        for n in range(n_direct):
+            total = acc + (shifted + n) ** neg_s
+            if total == acc:
+                break
+            acc = total
+        x = shifted + n_direct
+        acc += x**one_minus_s / s_minus_one
+        acc += 0.5 * x**neg_s
+        for coeff, power in tail:
+            term = coeff * x**power
+            acc += term
+            if abs(term) < tol * abs(acc):
+                break
+        out.append(acc)
+    return out
 
 
 def cot_derivative(order: int, theta: float) -> float:
@@ -245,9 +274,12 @@ def cot_derivative(order: int, theta: float) -> float:
     polynomial is evaluated at c by Horner's rule. Since the surviving
     coefficients are all non-negative and the polynomial has fixed
     parity, the evaluation involves no cancellation.
+
+    Raises DomainError for orders above 163 (a coefficient exceeds the
+    largest double) and where the value overflows a double.
     """
-    if order < 1 or order != int(order):
-        raise DomainError(f"cot_derivative: order must be a positive integer, got {order}")
+    if not 1 <= order <= 163 or order != int(order):
+        raise DomainError(f"cot_derivative: order must be an integer in [1, 163], got {order}")
     if not 0.0 < theta < math.pi:
         raise DomainError(f"cot_derivative: theta must lie in (0, pi), got {theta}")
     coeffs = [0, 1]  # cot itself, as a polynomial in c
@@ -262,17 +294,6 @@ def cot_derivative(order: int, theta: float) -> float:
     acc = 0.0
     for coef in reversed(coeffs):
         acc = acc * c + coef
+    if not -math.inf < acc < math.inf:
+        raise DomainError(f"cot_derivative: order {order} at theta={theta} overflows a double")
     return acc
-
-
-def coulomb_potential(n: int, r: float) -> float:
-    """Potential of a unit point source in n >= 3 spatial dimensions.
-
-    V_n(r) = gamma(n/2 - 1) / (4 pi^(n/2) r^(n-2)), the kernel whose
-    image sums build the slab correlators.
-    """
-    if n < 3 or n != int(n):
-        raise DomainError(f"coulomb_potential: requires integer n >= 3, got {n}")
-    if not r > 0.0:
-        raise DomainError(f"coulomb_potential: requires r > 0, got r={r}")
-    return gamma(n / 2.0 - 1.0) / (4.0 * math.pi ** (n / 2.0) * r ** (n - 2))

@@ -489,8 +489,14 @@ def test_usage_errors_exit_2(capsys):
 def test_cli_import_does_not_load_numpy():
     # verify (numpy, oracles) is imported only by the verify command.
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    # specfun keeps its Bernoulli numbers as integer pairs, not fractions.
-    probe = "import sys, casimir_slab.cli; print(sorted({'numpy', 'fractions'} & set(sys.modules)))"
+    # specfun keeps its Bernoulli numbers as integer pairs, not fractions,
+    # and json is loaded only to write JSON.
+    probe = (
+        "import sys, casimir_slab.cli; heavy = {'numpy', 'fractions', 'json'};"
+        "print(sorted(heavy & set(sys.modules)));"
+        "casimir_slab.cli.main(['profile', '--dim', '7', '--theory', 'scalar-canonical']);"
+        "print(sorted(heavy & set(sys.modules)))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
@@ -498,7 +504,10 @@ def test_cli_import_does_not_load_numpy():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]"  # after the import
+    assert lines[-1] == "[]"  # after writing a CSV profile
+    assert len(lines) > 60  # the profile was written
 
 
 def test_module_entry_point():

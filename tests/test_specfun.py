@@ -276,7 +276,12 @@ def test_early_exit_keeps_every_bit_of_the_zeta_sums():
             assert specfun._zeta_em(s).hex() == _reference_zeta_em(s).hex(), s
 
 
-# -------------------------------------------------------------- polygamma
+# ------------------------------------------- polygamma through hurwitz_zeta
+
+
+def _polygamma(k, x):
+    # psi^(k)(x) = (-1)^(k+1) k! zeta_H(k+1, x)
+    return (1.0 if k % 2 == 1 else -1.0) * math.factorial(k) * specfun.hurwitz_zeta(k + 1.0, x)
 
 
 @pytest.mark.parametrize(
@@ -288,7 +293,7 @@ def test_early_exit_keeps_every_bit_of_the_zeta_sums():
     ],
 )
 def test_polygamma_values(k, x, want):
-    assert rel_err(specfun.polygamma(k, x), want) < 1e-12
+    assert rel_err(_polygamma(k, x), want) < 1e-12
 
 
 def test_polygamma_vs_brute_series():
@@ -297,22 +302,172 @@ def test_polygamma_vs_brute_series():
         for x in (0.1, 0.25, 0.5, 1.0, 2.0):
             sign = 1.0 if k % 2 == 1 else -1.0
             want = sign * math.factorial(k) * hurwitz_sum_oracle(k + 1.0, x)
-            got = specfun.polygamma(k, x)
+            got = _polygamma(k, x)
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
-def test_polygamma_hurwitz_consistency_invariant():
-    for k in range(1, 12):
-        for x in (0.1, 0.25, 0.5, 1.0, 2.0):
-            sign = 1.0 if k % 2 == 1 else -1.0
-            want = sign * math.factorial(k) * specfun.hurwitz_zeta(k + 1.0, x)
-            assert abs(specfun.polygamma(k, x) - want) <= 1e-10 * max(1.0, abs(want))
-
-
+# k = 0 is the pole s = 1 of zeta_H; x <= 0 leaves its domain a > 0
 @pytest.mark.parametrize("k,x", [(0, 1.0), (1, 0.0), (2, -3.0)])
 def test_polygamma_domain_errors(k, x):
     with pytest.raises(DomainError):
-        specfun.polygamma(k, x)
+        _polygamma(k, x)
+
+
+# ------------------------------------------------------ hurwitz, fused loop
+
+
+# specfun._hurwitz as it was before the grid loop took its place; the loop
+# must reproduce it bit for bit.
+def _reference_scalar_hurwitz(s: float, a: float) -> float:
+    # hurwitz_zeta for callers that already hold s > 1 and 0 < a < inf.
+    neg_s = -s
+    acc = 0.0
+    shifted = a
+    while shifted < 1.0:
+        try:
+            acc += shifted**neg_s
+        except OverflowError:
+            raise DomainError(f"hurwitz_zeta: a**-s overflows a double at s={s}, a={a}") from None
+        shifted += 1.0
+    # Direct terms until the tail expansion point is comfortably large. The
+    # terms decrease and rounding is monotonic, so the first one that leaves
+    # the sum unchanged ends the loop without changing a bit of the result.
+    n_direct = max(0, 16 - int(shifted))
+    for n in range(n_direct):
+        total = acc + (shifted + n) ** neg_s
+        if total == acc:
+            break
+        acc = total
+    x = shifted + n_direct
+    acc += x ** (1.0 - s) / (s - 1.0)
+    acc += 0.5 * x**neg_s
+    rising = s
+    for k in range(1, 11):
+        term = specfun._EM_COEFF[k - 1] * rising * x ** (neg_s - 2 * k + 1)
+        acc += term
+        if abs(term) < specfun._ABS_TOL * abs(acc):
+            break
+        rising = rising * (s + (2 * k - 1)) * (s + 2 * k)
+    return acc
+
+
+def _reference_hexes(s, args):
+    out = []
+    for a in args:
+        try:
+            out.append(_reference_scalar_hurwitz(s, a).hex())
+        except DomainError:
+            out.append("DomainError")
+    return out
+
+
+def _loop_hexes(s, args):
+    try:
+        return [v.hex() for v in specfun._hurwitz_many(s, args)]
+    except DomainError:
+        return ["DomainError"]
+
+
+def test_fused_loop_keeps_every_bit_on_midpoint_grids():
+    for dim in range(2, 25):
+        for samples in (7, 64, 2001):
+            xs = [(i + 0.5) / samples for i in range(samples)]
+            for family in ([*xs, *(1.0 - x for x in xs)], [*(1.0 + x for x in xs), *(2.0 - x for x in xs)]):
+                assert _loop_hexes(float(dim), family) == _reference_hexes(float(dim), family), dim
+
+
+def test_fused_loop_keeps_every_bit_of_random_arguments():
+    rng = random.Random(6)
+    overflows = 0
+    for i in range(100_000):
+        if i % 4 == 0:
+            s = float(rng.randint(2, 24))  # the orders the closed forms use
+        elif i % 4 == 3:
+            s = 10.0 ** rng.uniform(0.01, 12.0)
+        else:
+            s = rng.uniform(1.01, 30.0)
+        a = 10.0 ** rng.uniform(-12.0, 0.0) if i % 2 else rng.uniform(1.0, 40.0)
+        want = _reference_hexes(s, [a])
+        overflows += want == ["DomainError"]
+        assert _loop_hexes(s, [a]) == want, (s, a)
+        if want != ["DomainError"]:
+            assert specfun.hurwitz_zeta(s, a).hex() == want[0], (s, a)
+    assert overflows > 1000  # the a**-s overflow cases are exercised
+    # several arguments at once, at orders inside and outside the per-order table
+    for s in (3.0, 7.0, 24.0, 2.5, 13.7, 29.0):
+        args = [10.0 ** rng.uniform(-6.0, 1.5) for _ in range(500)]
+        assert _loop_hexes(s, args) == _reference_hexes(s, args), s
+
+
+# --------------------------------------------------------- error contract
+
+
+@pytest.mark.parametrize(
+    "call,want",
+    [
+        (lambda: specfun.hurwitz_zeta(1e20, 2.0), 0.0),  # 2**-1e20 underflows
+        (lambda: specfun.riemann_zeta(1e300), 1.0),
+        (lambda: specfun.riemann_zeta(-1e-300), -0.5),
+        (lambda: specfun.riemann_zeta(-300.5), DomainError),  # |zeta| ~ 1e375
+        (lambda: specfun.gamma(200.0), DomainError),
+        (lambda: specfun.gamma(-200.5), DomainError),  # gamma(201.5) overflows
+        (lambda: specfun.gamma(1e-320), DomainError),
+        (lambda: specfun.cot_derivative(200, 1e-3), DomainError),
+        (lambda: specfun.cot_derivative(40, 1e-9), DomainError),
+    ],
+    ids=["hurwitz-huge-s", "zeta-huge-s", "zeta-tiny-negative-s", "zeta-overflow",
+         "gamma-overflow", "gamma-reflection-overflow", "gamma-tiny-x", "cot-order-200", "cot-overflow"],
+)
+def test_error_contract_cases(call, want):
+    if want is DomainError:
+        with pytest.raises(DomainError):
+            call()
+    else:
+        assert call() == want
+
+
+def test_gamma_reflection_up_to_the_overflow_of_gamma_one_minus_x():
+    # gamma(x) gamma(1-x) = pi / sin(pi x) while gamma(1-x) still fits a double
+    for x in (-150.5, -170.3, -170.6):
+        sine = math.sin(PI * x)
+        want = math.copysign(math.exp(math.log(PI / abs(sine)) - math.lgamma(1.0 - x)), sine)
+        assert rel_err(specfun.gamma(x), want) < 1e-11, x
+
+
+def test_riemann_zeta_near_zero_from_below():
+    # zeta(s) = -1/2 - s log(2 pi)/2 + O(s^2); the reflection route lost the digits of s here
+    for s in (-1e-300, -1e-12, -1e-9):
+        assert abs(specfun.riemann_zeta(s) - (-0.5 - 0.5 * s * math.log(2 * PI))) < 1e-14
+
+
+def test_closed_form_orders_keep_their_gamma_and_zeta_bits():
+    for dim in range(2, 25):
+        assert specfun.gamma(dim / 2.0).hex() == math.exp(specfun._ln_gamma_lanczos(dim / 2.0)).hex()
+        assert specfun.riemann_zeta(float(dim)).hex() == _reference_zeta_em(float(dim)).hex()
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@given(
+    st.sampled_from(["gamma", "riemann_zeta", "hurwitz_zeta", "cot_derivative"]),
+    _ANY_FLOAT,
+    _ANY_FLOAT | st.floats(min_value=1e-12, max_value=50.0),
+    st.integers(min_value=-2, max_value=400),
+)
+@settings(max_examples=600, deadline=None)
+def test_public_functions_return_finite_or_raise_domain_error(name, x, y, order):
+    calls = {
+        "gamma": lambda: specfun.gamma(x),
+        "riemann_zeta": lambda: specfun.riemann_zeta(x),
+        "hurwitz_zeta": lambda: specfun.hurwitz_zeta(abs(x) + 1.0, y),
+        "cot_derivative": lambda: specfun.cot_derivative(order, y),
+    }
+    try:
+        value = calls[name]()
+    except DomainError:
+        return
+    assert isinstance(value, float) and math.isfinite(value), (name, x, y, order, value)
 
 
 # --------------------------------------------------------- cot derivative
@@ -358,29 +513,3 @@ def test_cot_derivative_parity(order, frac):
 def test_cot_derivative_domain(theta):
     with pytest.raises(DomainError):
         specfun.cot_derivative(1, theta)
-
-
-# ---------------------------------------------------------------- coulomb
-
-
-def test_coulomb_three_dimensions():
-    assert rel_err(specfun.coulomb_potential(3, 1.0), 1 / (4 * PI)) < 1e-13
-
-
-def test_coulomb_five_dimensions():
-    assert rel_err(specfun.coulomb_potential(5, 1.0), 1 / (8 * PI**2)) < 1e-13
-
-
-@given(st.integers(min_value=3, max_value=20), st.floats(min_value=0.01, max_value=100.0))
-@settings(max_examples=150)
-def test_coulomb_homogeneity(n, r):
-    v1 = specfun.coulomb_potential(n, r)
-    for lam in (0.5, 2.0, 10.0):
-        v2 = specfun.coulomb_potential(n, lam * r)
-        assert rel_err(v2, lam ** (2 - n) * v1) < 1e-12
-
-
-@pytest.mark.parametrize("n,r", [(2, 1.0), (3, 0.0), (4, -2.0)])
-def test_coulomb_domain_errors(n, r):
-    with pytest.raises(DomainError):
-        specfun.coulomb_potential(n, r)
