@@ -176,7 +176,12 @@ def riemann_zeta(s: float) -> float:
         return _zeta_em(s)
     if s == math.floor(s) and int(s) % 2 == 0:
         return 0.0  # trivial zeros; the reflection route would hit a gamma pole
-    value = math.pi ** (s - 0.5) * gamma((1.0 - s) / 2.0) / gamma(s / 2.0) * _zeta_em(1.0 - s)
+    try:
+        value = math.pi ** (s - 0.5) * gamma((1.0 - s) / 2.0) / gamma(s / 2.0) * _zeta_em(1.0 - s)
+    except DomainError:
+        # Below about s = -341 a gamma factor leaves the doubles, and so does
+        # |zeta(s)|; the poles of gamma(s/2) are the trivial zeros handled above.
+        value = math.inf
     if not -math.inf < value < math.inf:
         raise DomainError(f"riemann_zeta: |zeta(s)| at s={s} exceeds the largest double")
     return value

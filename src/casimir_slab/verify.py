@@ -147,15 +147,12 @@ def _check_pressure_constancy(tol_spread: float, tol_force: float) -> list[Check
             if th.kind is TheoryKind.MAXWELL and dim < 3:
                 continue
             if th.kind is TheoryKind.MAXWELL:
-                tzzs = [core.em_stress(st, th.bc, z).tzz for z in zs]
+                rows = core.em_stress_rows(st, th.bc, zs)
             else:
-                tzzs = [
-                    core.scalar_stress(
-                        st, th.bc, z, improved=th.kind is TheoryKind.SCALAR_IMPROVED
-                    ).tzz
-                    for z in zs
-                ]
-            worst_spread = max(worst_spread, _spread(tzzs))
+                rows = core.scalar_stress_rows(
+                    st, th.bc, zs, improved=th.kind is TheoryKind.SCALAR_IMPROVED
+                )
+            worst_spread = max(worst_spread, _spread([row[1] for row in rows]))
             h = 1e-6
             fd = -(
                 core.total_energy_per_area(Spacetime(dim, 1.0 + h), th)
@@ -171,13 +168,9 @@ def _check_pressure_constancy(tol_spread: float, tol_force: float) -> list[Check
 
 def _check_conformal_and_improved(tol: float) -> list[CheckResult]:
     zs = [(i + 0.5) / 16.0 for i in range(16)]
-    worst_const = 0.0
-    st4 = Spacetime(4, 1.0)
-    vals = [core.em_stress(st4, EmBC.METALLIC, z).t00 for z in zs]
-    worst_const = max(worst_const, _spread(vals))
-    st2 = Spacetime(2, 1.0)
-    vals = [core.scalar_stress(st2, ScalarBC.DIRICHLET, z).t00 for z in zs]
-    worst_const = max(worst_const, _spread(vals))
+    em = core.em_stress_rows(Spacetime(4, 1.0), EmBC.METALLIC, zs)
+    scalar = core.scalar_stress_rows(Spacetime(2, 1.0), ScalarBC.DIRICHLET, zs)
+    worst_const = max(_spread([row[0] for row in em]), _spread([row[0] for row in scalar]))
 
     worst_improved = 0.0
     for dim in range(3, 13):
@@ -268,7 +261,7 @@ def _check_cancellation(n_interior: int, tol: float) -> CheckResult:
         delta = 1e-8
         grid = (
             [-(i + 0.5) / n_ext for i in range(n_ext)]
-            + list(np.linspace(delta, 1.0 - delta, n_interior))
+            + np.linspace(delta, 1.0 - delta, n_interior).tolist()
             + [1.0 + (i + 0.5) / n_ext for i in range(n_ext)]
         )
         prof = core.subtracted_profile(st, EmBC.METALLIC, grid)

@@ -216,6 +216,14 @@ def test_verify_quick_passes(capsys):
     assert rows and all(row[header.index("status")] == "pass" for row in rows)
 
 
+def test_verify_full_budget_passes():
+    # the 1e6-image and 4e4-mode budgets run only without --quick
+    from casimir_slab import verify
+
+    results = verify.run_checks()
+    assert results and [r.name for r in results if not r.passed] == []
+
+
 def test_verify_json_structure(capsys):
     code, out, _ = run_cli(capsys, "verify", "--quick", "--format", "json")
     assert code == 0

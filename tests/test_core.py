@@ -275,6 +275,26 @@ def test_scalar_functions_are_bitwise_views_of_the_grid_kernels():
             assert _bits(tensor) == _bits(astuple(sample.tensor))
 
 
+def test_subtracted_rows_keep_their_bits_on_numpy_scalars():
+    # verify hands its grids over as Python floats (.tolist() keeps each value)
+    rng = np.random.default_rng(11)
+    for dim in range(3, 25):
+        st = Spacetime(dim, float(10.0 ** rng.uniform(-1.0, 1.0)))
+        length = st.plate_gap_L
+        grid = np.concatenate(
+            (
+                -length * rng.uniform(0.01, 3.0, size=8),
+                np.linspace(1e-8 * length, (1.0 - 1e-8) * length, 65),
+                length * (1.0 + rng.uniform(0.01, 3.0, size=8)),
+            )
+        )
+        for bc in (EmBC.METALLIC, EmBC.MIT):
+            got = core.subtracted_rows(st, bc, grid)
+            want = core.subtracted_rows(st, bc, grid.tolist())
+            assert [row[-1] for row in got] == [row[-1] for row in want]
+            assert [_bits(row[:-1]) for row in got] == [_bits(row[:-1]) for row in want]
+
+
 def _reference_row(kind, st, bc, z):
     # The per-point formulas the grid kernels replaced, written out with
     # their original operand order; any reordering changes low bits.

@@ -184,6 +184,30 @@ def test_image_sum_tail_order_zero_is_worse_but_close():
     assert rel_err(with_tail, want) < rel_err(without, want)
 
 
+def _reference_image_profile_sum(dim_D, x, budget):
+    # the out-of-place expression image_profile_sum evaluates in one buffer
+    j_cap = budget.max_images
+    j = np.arange(-j_cap, j_cap + 1, dtype=np.float64)
+    total = float((np.abs(j + x) ** (-float(dim_D))).sum())
+    if budget.tail_order >= 1:
+        total += 2.0 / ((dim_D - 1) * float(j_cap) ** (dim_D - 1))
+    return total
+
+
+def test_image_sum_in_place_keeps_the_out_of_place_bits():
+    budgets = (
+        oracle.SeriesBudget(),
+        oracle.SeriesBudget(max_images=1000),
+        oracle.SeriesBudget(max_images=1001, tail_order=0),
+    )
+    for budget in budgets:
+        for dim in range(2, 13):
+            for x in (1e-9, 0.1, 0.25, 0.5, 0.77, 1.0 - 1e-12):
+                got = oracle.image_profile_sum(dim, x, budget)
+                want = _reference_image_profile_sum(dim, x, budget)
+                assert got.hex() == want.hex(), (budget, dim, x)
+
+
 def test_image_sum_domain():
     budget = oracle.SeriesBudget()
     with pytest.raises(DomainError):
@@ -232,6 +256,32 @@ def test_cutoff_energy_regulator_independence():
             dim, 1.0, oracle.default_cutoff_schedule(dim, scale=2.0), CUTOFF_BUDGET
         )
         assert rel_err(b, a) < 2e-3
+
+
+def _reference_regulated_energy_d3(L, alpha, max_modes):
+    # the out-of-place expression oracle._regulated_energy_d3 evaluates in one buffer
+    mu = math.pi / L
+    n_max = min(int(math.ceil(45.0 / (alpha * mu))), max_modes)
+    m = mu * np.arange(1, n_max + 1, dtype=np.float64)
+    x = alpha * m
+    h = 0.15
+    t = np.arange(0.0, math.acosh(745.0 / float(x[0])) + h, h)
+    ch = np.cosh(t)
+    weights = ch * ch * h
+    weights[0] *= 0.5
+    with np.errstate(under="ignore"):
+        g = np.exp(-np.outer(x, ch)) @ weights
+    return float((m * m * g).sum()) / (2.0 * math.pi)
+
+
+def test_regulated_energy_d3_in_place_keeps_the_out_of_place_bits():
+    for length in (1.0, 0.37, 2.5):
+        for scale in (1.0, 2.0, 6.0, 12.0):
+            for alpha in oracle.default_cutoff_schedule(3, scale).alphas:
+                for max_modes in (2000, 40000):
+                    got = oracle._regulated_energy_d3(length, alpha, max_modes)
+                    want = _reference_regulated_energy_d3(length, alpha, max_modes)
+                    assert got.hex() == want.hex(), (length, alpha, max_modes)
 
 
 def test_cutoff_narrow_schedule_raises():

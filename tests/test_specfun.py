@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -424,6 +425,14 @@ def test_error_contract_cases(call, want):
             call()
     else:
         assert call() == want
+
+
+def test_riemann_zeta_overflow_names_s():
+    # below about s = -341 a gamma factor leaves the doubles; the message still names s
+    for s in (-300.5, -341.5, -342.5, -1000.5):
+        message = f"riemann_zeta: |zeta(s)| at s={s} exceeds the largest double"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            specfun.riemann_zeta(s)
 
 
 def test_gamma_reflection_up_to_the_overflow_of_gamma_one_minus_x():
