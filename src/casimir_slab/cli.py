@@ -21,9 +21,10 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from itertools import groupby
+from functools import partial
+from itertools import chain, groupby, islice
 from operator import eq, neg
-from typing import Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from . import core
 from .core import EmBC, Region, ScalarBC, Spacetime, Theory, TheoryKind
@@ -40,9 +41,9 @@ def _round12(value: float) -> float:
     return float(f"{value:.11e}")
 
 
-# Rows are transposed and written this many at a time, so a large table is
-# converted column by column without holding the whole document.
-_BLOCK_ROWS = 4096
+# Grids are evaluated, and their rows turned into text column by column,
+# this many points at a time, so no command holds a large table's rows whole.
+_BLOCK_ROWS = 1024
 
 # (cell separator, row opening, row closing, row separator, empty row)
 _LAYOUT = {
@@ -122,42 +123,46 @@ def _rows_text(rows: list[tuple], fmt: str) -> str:
 
 
 def _write_table(
-    out: TextIO, config: dict[str, object], columns: list[str], rows: list[tuple], fmt: str
+    out: TextIO, config: dict[str, object], columns: list[str], texts: list[str], fmt: str
 ) -> None:
     """Write a table as CSV, or as json.dumps({config, columns, rows}, indent=2) + "\n".
 
-    Floats print with 12 significant digits: f"{v:.11e}" in CSV, and in
-    JSON the repr of that rounded value. The rows are not handed to
-    json.dumps because with indent it uses its pure-Python encoder, which
-    costs more than evaluating a large grid.
+    texts are the rows as _rows_text renders them, one string per
+    non-empty block. Floats print with 12 significant digits:
+    f"{v:.11e}" in CSV, and in JSON the repr of that rounded value. The
+    rows are not handed to json.dumps because with indent it uses its
+    pure-Python encoder, which costs more than evaluating a large grid.
     """
     if fmt == "json":
         import json
         head = json.dumps({"config": config, "columns": columns}, indent=2)
-        out.write(head[:-2] + ',\n  "rows": ' + ("[\n" if rows else "[]"))
-        tail = ("\n  ]" if rows else "") + "\n}\n"
+        out.write(head[:-2] + ',\n  "rows": ' + ("[\n" if texts else "[]"))
+        tail = ("\n  ]" if texts else "") + "\n}\n"
     else:
         out.write(f"# units: {config['units']}\n" + ",".join(columns) + "\n")
         tail = ""
     row_sep = _LAYOUT[fmt][3]
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        out.write((row_sep if start else "") + _rows_text(rows[start : start + _BLOCK_ROWS], fmt))
+    for i, text in enumerate(texts):
+        out.write((row_sep if i else "") + text)
     out.write(tail)
 
 
 def _render(
     config: dict[str, object],
     columns: list[str],
-    rows: list[tuple],
+    blocks: Iterable[list[tuple]],
     fmt: str,
     output: str | None,
 ) -> None:
+    # Every block is evaluated and turned into text before the first byte is
+    # written, so an error leaves stdout empty and creates no file.
+    texts = [_rows_text(rows, fmt) for rows in blocks]
     if output is None:
-        _write_table(sys.stdout, config, columns, rows, fmt)
+        _write_table(sys.stdout, config, columns, texts, fmt)
         return
     try:
         with open(output, "w", newline="") as handle:
-            _write_table(handle, config, columns, rows, fmt)
+            _write_table(handle, config, columns, texts, fmt)
     except OSError as exc:
         raise UsageError(f"--output: {exc}") from exc
 
@@ -215,33 +220,53 @@ def _cmd_pressure(args: argparse.Namespace) -> int:
     energy = core.total_energy_per_area(st, th)
     columns = ["dim", "length", "theory", "bc", "pressure", "energy_per_area"]
     rows = [(st.dim_D, st.plate_gap_L, th.kind.value, th.bc.value, p, energy)]
-    _render(_base_config(args, th), columns, rows, args.format, args.output)
+    _render(_base_config(args, th), columns, [rows], args.format, args.output)
     return 0
 
 
-def _interior_grid(length: float, samples: int) -> list[float]:
-    return [length * (i + 0.5) / samples for i in range(samples)]
+def _interior_grid(length: float, samples: int) -> Iterator[float]:
+    return (length * (i + 0.5) / samples for i in range(samples))
 
 
-def _profile_rows(args: argparse.Namespace, st: Spacetime, th: Theory) -> list[tuple]:
+def _blocks(
+    grid: Iterable[float], rows: Callable[[list[float]], list[tuple]]
+) -> Iterator[list[tuple]]:
+    # rows(zs) for consecutive runs zs of at most _BLOCK_ROWS grid points.
+    grid = iter(grid)
+    while zs := list(islice(grid, _BLOCK_ROWS)):
+        yield rows(zs)
+
+
+def _profile_blocks(args: argparse.Namespace, st: Spacetime, th: Theory) -> Iterator[list[tuple]]:
     length = st.plate_gap_L
-    grid = _interior_grid(length, args.samples)
+    samples = args.samples
     if args.subtracted:
         if th.kind is not TheoryKind.MAXWELL:
             raise UsageError("--subtracted: only defined for --theory maxwell")
-        exterior_left = [-length * (i + 0.5) / args.samples for i in range(args.samples)]
-        exterior_right = [length + length * (i + 0.5) / args.samples for i in range(args.samples)]
-        rows = core.subtracted_rows(st, th.bc, exterior_left + grid + exterior_right)
-        return [(*row[:-1], row[-1].value) for row in rows]
-    if any(z == 0.0 or z == length for z in grid):
+        # Left exterior, interior, right exterior, each ascending: the order the
+        # kernel would sort the whole grid into. (Only a length whose amplitude
+        # the kernel rejects can round an interior point above L.)
+        grid = chain(
+            (-length * (i + 0.5) / samples for i in reversed(range(samples))),
+            _interior_grid(length, samples),
+            (length + length * (i + 0.5) / samples for i in range(samples)),
+        )
+        return _blocks(
+            grid,
+            lambda zs: [(*row[:-1], row[-1].value) for row in core.subtracted_rows(st, th.bc, zs)],
+        )
+    if any(z == 0.0 or z == length for z in _interior_grid(length, samples)):
         raise UsageError("--samples: grid point falls on a plate; densities diverge there")
     if th.kind is TheoryKind.MAXWELL:
-        tensors = core.em_stress_rows(st, th.bc, grid)
+        kernel = partial(core.em_stress_rows, st, th.bc)
     else:
         improved = th.kind is TheoryKind.SCALAR_IMPROVED
-        tensors = core.scalar_stress_rows(st, th.bc, grid, improved)
+        kernel = partial(core.scalar_stress_rows, st, th.bc, improved=improved)
     interior = Region.INTERIOR.value
-    return [(z, *tensor, interior) for z, tensor in zip(grid, tensors)]
+    return _blocks(
+        _interior_grid(length, samples),
+        lambda zs: [(z, *tensor, interior) for z, tensor in zip(zs, kernel(zs))],
+    )
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -249,12 +274,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         raise UsageError(f"--samples: must be >= 2, got {args.samples}")
     st = _spacetime(args.dim, args.length)
     th = _build_theory(args.theory, args.bc)
-    rows = _profile_rows(args, st, th)
+    blocks = _profile_blocks(args, st, th)
     config = _base_config(args, th)
     config["samples"] = args.samples
     config["subtracted"] = bool(args.subtracted)
     columns = ["z", "t00", "tzz", "t_transverse", "trace", "region"]
-    _render(config, columns, rows, args.format, args.output)
+    _render(config, columns, blocks, args.format, args.output)
     return 0
 
 
@@ -265,14 +290,16 @@ def _cmd_fluctuations(args: argparse.Namespace) -> int:
     if st.dim_D < 3:
         raise UsageError("--dim: fluctuations need D >= 3 (no transverse direction at D=2)")
     bc = _EM_BCS[args.bc or EmBC.METALLIC.value]
-    grid = _interior_grid(st.plate_gap_L, args.samples)
-    rows = [(z, *record) for z, record in zip(grid, core.em_fluctuations_rows(st, bc, grid))]
+    blocks = _blocks(
+        _interior_grid(st.plate_gap_L, args.samples),
+        lambda zs: [(z, *record) for z, record in zip(zs, core.em_fluctuations_rows(st, bc, zs))],
+    )
     config = _base_config(args)
     config["theory"] = TheoryKind.MAXWELL.value
     config["bc"] = bc.value
     config["samples"] = args.samples
     columns = ["z", "Ez2", "Ei2", "Biz2", "Bij2"]
-    _render(config, columns, rows, args.format, args.output)
+    _render(config, columns, blocks, args.format, args.output)
     return 0
 
 
@@ -305,7 +332,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "units": UNITS,
     }
     columns = ["dim", "base_energy_density", "pressure_scalar", "pressure_maxwell"]
-    _render(config, columns, rows, args.format, args.output)
+    _render(config, columns, [rows], args.format, args.output)
     return 0
 
 
@@ -321,7 +348,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "units": UNITS,
     }
     columns = ["check", "residual", "tolerance", "status"]
-    _render(config, columns, rows, args.format, args.output)
+    _render(config, columns, [rows], args.format, args.output)
     failures = [r for r in results if not r.passed]
     if failures:
         worst = max(failures, key=lambda r: r.residual / r.tolerance)

@@ -78,27 +78,41 @@ def _check_f_dual_forms(budget: oracle.SeriesBudget, tol: float) -> CheckResult:
     return CheckResult("f-profile-dual-closed-forms", worst, tol)
 
 
-def _green_points() -> list[tuple[float, float, float]]:
-    rng = np.random.default_rng(20260808)
-    pts: list[tuple[float, float, float]] = []
-    while len(pts) < 20:
-        k = float(rng.uniform(0.1, 10.0))
-        z = float(rng.uniform(0.1, 0.9))
-        zp = float(rng.uniform(0.1, 0.9))
-        if abs(z - zp) >= 0.1:
-            pts.append((k, z, zp))
-    return pts
+# 20 (k, z, zp) with 0.1 <= k < 10, 0.1 <= z, zp < 0.9 and |z - zp| >= 0.1,
+# drawn once from numpy.random.default_rng(20260808) and written out, so that
+# the check never imports numpy.random.
+_GREEN_POINTS = (
+    (7.086920641914623, 0.14657744030982506, 0.6984909157447159),
+    (4.814078443058634, 0.5648535274788895, 0.7364726222519703),
+    (0.8672362404903883, 0.3355330037813863, 0.17678812623743703),
+    (7.156886308376476, 0.24064575079356543, 0.3779271592034239),
+    (0.5242184635440358, 0.6296307961746213, 0.7869668063122485),
+    (9.471350321583797, 0.5020957057521785, 0.21057091191051863),
+    (7.711307954488435, 0.5938662064475817, 0.7865685674209316),
+    (2.1770019770761144, 0.10149462064186868, 0.6035259365752526),
+    (1.373528839559029, 0.5641653150892231, 0.31695666925226773),
+    (8.249720135995911, 0.7531112266869575, 0.4448868848996169),
+    (4.181442078967882, 0.47880584175655005, 0.8472742712202236),
+    (3.708093771551642, 0.7127003752585072, 0.27828041696672234),
+    (6.526290640565724, 0.4592086362777501, 0.20423773108705376),
+    (8.297471829814665, 0.8570323692146429, 0.24103410568169661),
+    (6.55064786770299, 0.37437804821973786, 0.23965671254397486),
+    (8.069323009894381, 0.4424434402475351, 0.7131361466307308),
+    (5.420787644945356, 0.15283312133927068, 0.43627383419688104),
+    (7.543735261044856, 0.4330915238306434, 0.5567832033559568),
+    (6.287004573864058, 0.6682784855016582, 0.22015187013109366),
+    (8.129223634313577, 0.7099561235694267, 0.8760461229507096),
+)
 
 
 def _check_green(budget: oracle.SeriesBudget, tol: float) -> list[CheckResult]:
-    pts = _green_points()
     doubled = oracle.SeriesBudget(
         max_images=budget.max_images,
         max_modes=2 * budget.max_modes,
         tail_order=budget.tail_order,
     )
     errs, errs2 = [], []
-    for k, z, zp in pts:
+    for k, z, zp in _GREEN_POINTS:
         exact = oracle.green_closed(k, z, zp, 1.0)
         errs.append(
             abs(oracle.green_mode_sum(k, z, zp, 1.0, ScalarBC.DIRICHLET, budget) - exact)

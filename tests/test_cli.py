@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casimir_slab import cli
+from casimir_slab import cli, core
+from casimir_slab.core import EmBC, ScalarBC, Spacetime
+from casimir_slab.errors import DomainError
 
 PI = math.pi
 
@@ -224,6 +226,25 @@ def test_verify_full_budget_passes():
     assert results and [r.name for r in results if not r.passed] == []
 
 
+def test_green_points_are_the_seeded_draw():
+    # The literal points of the green-mode check keep the bits of the seeded
+    # draw they were taken from.
+    import numpy as np
+
+    from casimir_slab import verify
+
+    rng = np.random.default_rng(20260808)
+    pts = []
+    while len(pts) < 20:
+        k = float(rng.uniform(0.1, 10.0))
+        z = float(rng.uniform(0.1, 0.9))
+        zp = float(rng.uniform(0.1, 0.9))
+        if abs(z - zp) >= 0.1:
+            pts.append((k, z, zp))
+    hexes = [tuple(map(float.hex, p)) for p in pts]
+    assert [tuple(map(float.hex, p)) for p in verify._GREEN_POINTS] == hexes
+
+
 def test_verify_json_structure(capsys):
     code, out, _ = run_cli(capsys, "verify", "--quick", "--format", "json")
     assert code == 0
@@ -374,8 +395,11 @@ _EDGE_FLOATS = st.sampled_from(_LAYOUT_EDGES + [-v for v in _LAYOUT_EDGES])
 
 
 def _table_text(config, columns, rows, fmt):
+    # As the CLI renders a table: blocks of cli._BLOCK_ROWS rows, each turned
+    # into text, and then written.
+    texts = [cli._rows_text(block, fmt) for block in cli._blocks(rows, list)]
     out = io.StringIO()
-    cli._write_table(out, config, columns, rows, fmt)
+    cli._write_table(out, config, columns, texts, fmt)
     return out.getvalue()
 
 
@@ -449,6 +473,95 @@ def test_column_writer_layout_edges():
     for fmt, reference in (("json", _json_reference), ("csv", _csv_reference)):
         for table in (rows, [(v,) for v in _LAYOUT_EDGES], [(-0.0,)] * 3, [(0.0, -0.0)] * 3, []):
             assert _table_text(config, ["a"], table, fmt) == reference(config, ["a"], table)
+
+
+# ------------------------------------------------------------ grid blocks
+
+_GRID_KERNELS = ("em_stress_rows", "scalar_stress_rows", "em_fluctuations_rows", "subtracted_rows")
+
+
+def _spy_kernels(monkeypatch, fail_on_call=None):
+    """Wrap core's grid kernels; the returned list collects each call's grid size."""
+    sizes = []
+    for name in _GRID_KERNELS:
+        def spy(space, bc, grid, *rest, _real=getattr(core, name), **kw):
+            sizes.append(len(grid))
+            if len(sizes) == fail_on_call:
+                raise DomainError("rigged failure")
+            return _real(space, bc, grid, *rest, **kw)
+
+        monkeypatch.setattr(core, name, spy)
+    return sizes
+
+
+# (kind, dim, length, theory, bc): one case per grid kernel the CLI calls
+_GRID_CASES = [
+    ("profile", 7, 0.37, "maxwell", "mit"),
+    ("profile", 5, 2.5, "scalar-canonical", "neumann"),
+    ("subtracted", 10, 7.5, "maxwell", "metallic"),
+    ("fluctuations", 16, 0.24181776784246303, "maxwell", "mit"),
+]
+
+
+def _grid_argv(kind, dim, length, theory, bc, samples):
+    argv = ["fluctuations" if kind == "fluctuations" else "profile", "--dim", str(dim)]
+    argv += ["--length", repr(length), "--bc", bc, "--samples", str(samples)]
+    if kind != "fluctuations":
+        argv += ["--theory", theory]
+    return argv + (["--subtracted"] if kind == "subtracted" else [])
+
+
+def _whole_grid_table(kind, dim, length, theory, bc, samples):
+    """(config, columns, rows) from one kernel call on the whole grid."""
+    space = Spacetime(dim, length)
+    grid = [length * (i + 0.5) / samples for i in range(samples)]
+    config = {"command": "profile", "dim": dim, "length": float(f"{length:.11e}"), "units": cli.UNITS}
+    config.update(theory=theory, bc=bc, samples=samples)
+    if kind == "fluctuations":
+        config["command"] = "fluctuations"
+        rows = [(z, *r) for z, r in zip(grid, core.em_fluctuations_rows(space, EmBC(bc), grid))]
+        return config, ["z", "Ez2", "Ei2", "Biz2", "Bij2"], rows
+    config["subtracted"] = kind == "subtracted"
+    columns = ["z", "t00", "tzz", "t_transverse", "trace", "region"]
+    if kind == "subtracted":
+        left = [-length * (i + 0.5) / samples for i in range(samples)]
+        right = [length + length * (i + 0.5) / samples for i in range(samples)]
+        rows = core.subtracted_rows(space, EmBC(bc), left + grid + right)
+        return config, columns, [(*row[:-1], row[-1].value) for row in rows]
+    if theory == "maxwell":
+        tensors = core.em_stress_rows(space, EmBC(bc), grid)
+    else:
+        tensors = core.scalar_stress_rows(space, ScalarBC(bc), grid)
+    return config, columns, [(z, *t, "interior") for z, t in zip(grid, tensors)]
+
+
+@pytest.mark.parametrize("case", _GRID_CASES, ids=[c[0] + "-" + c[3] for c in _GRID_CASES])
+def test_grid_blocks_match_one_whole_grid_call(capsys, monkeypatch, case):
+    block = cli._BLOCK_ROWS
+    for samples in (block - 1, block, block + 1, 3 * block + 1):
+        config, columns, rows = _whole_grid_table(*case, samples)
+        for fmt, reference in (("csv", _csv_reference), ("json", _json_reference)):
+            with monkeypatch.context() as patch:
+                sizes = _spy_kernels(patch)
+                code, out, err = run_cli(capsys, *_grid_argv(*case, samples), "--format", fmt)
+            assert (code, err) == (0, "")
+            assert out == reference(config, columns, rows), (samples, fmt)
+            # every point once, in calls of at most one block each
+            assert max(sizes) <= block and sum(sizes) == len(rows)
+            assert len(sizes) == -(-len(rows) // block)
+
+
+@pytest.mark.parametrize("kind", ["profile", "subtracted", "fluctuations"])
+def test_error_in_a_later_block_writes_nothing(capsys, monkeypatch, tmp_path, kind):
+    argv = _grid_argv(kind, 6, 1.0, "maxwell", "metallic", cli._BLOCK_ROWS + 1)
+    path = tmp_path / "table.out"
+    for extra in ([], ["--output", str(path)], ["--format", "json", "--output", str(path)]):
+        with monkeypatch.context() as patch:
+            sizes = _spy_kernels(patch, fail_on_call=2)
+            code, out, err = run_cli(capsys, *argv, *extra)
+        assert len(sizes) == 2
+        assert (code, out, err) == (2, "", "error: rigged failure\n")
+        assert not path.exists()
 
 
 def test_json_output_validates_against_shipped_schema(capsys):
