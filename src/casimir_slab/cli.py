@@ -19,10 +19,13 @@ unpredictable way.
 from __future__ import annotations
 
 import argparse
+import codecs
+import os
 import re
 import sys
+from bisect import bisect_left
 from functools import partial
-from itertools import chain, groupby, islice
+from itertools import chain, groupby, islice, zip_longest
 from operator import eq, neg
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -77,7 +80,11 @@ def _float_lines(column: tuple, fmt: str) -> str:
     # The cells of a float column, one per line, formatted in one C-level pass.
     if fmt == "csv":
         return "\n".join(["%.11e"] * len(column)) % column
-    return re.sub(_JSON_RELAYOUT, _relayout, "\n".join(["%.12g"] * len(column)) % column)
+    text = "\n".join(["%.12g"] * len(column)) % column
+    # Each line the pattern matches lacks a point or holds "e+1" or "e-3".
+    if text.count(".") != len(column) or "e+1" in text or "e-3" in text:
+        return re.sub(_JSON_RELAYOUT, _relayout, text)
+    return text
 
 
 def _column_texts(rows: list[tuple], fmt: str) -> list[list[str]]:
@@ -123,48 +130,152 @@ def _rows_text(rows: list[tuple], fmt: str) -> str:
 
 
 def _write_table(
-    out: TextIO, config: dict[str, object], columns: list[str], texts: list[str], fmt: str
+    out: TextIO, config: dict[str, object], columns: list[str], texts: Iterable[str], fmt: str
 ) -> None:
     """Write a table as CSV, or as json.dumps({config, columns, rows}, indent=2) + "\n".
 
-    texts are the rows as _rows_text renders them, one string per
-    non-empty block. Floats print with 12 significant digits:
-    f"{v:.11e}" in CSV, and in JSON the repr of that rounded value. The
-    rows are not handed to json.dumps because with indent it uses its
-    pure-Python encoder, which costs more than evaluating a large grid.
+    texts is the rows' text as _range_texts renders it, in pieces split
+    anywhere; the first is empty only if there are no rows. Floats print
+    with 12 significant digits: f"{v:.11e}" in CSV, and in JSON the repr
+    of that rounded value. The rows are not handed to json.dumps because
+    with indent it uses its pure-Python encoder, which costs more than
+    evaluating a large grid.
     """
+    texts = iter(texts)
+    first = next(texts, "")
     if fmt == "json":
         import json
         head = json.dumps({"config": config, "columns": columns}, indent=2)
-        out.write(head[:-2] + ',\n  "rows": ' + ("[\n" if texts else "[]"))
-        tail = ("\n  ]" if texts else "") + "\n}\n"
+        out.write(head[:-2] + ',\n  "rows": ' + ("[\n" if first else "[]"))
+        tail = ("\n  ]" if first else "") + "\n}\n"
     else:
         out.write(f"# units: {config['units']}\n" + ",".join(columns) + "\n")
         tail = ""
-    row_sep = _LAYOUT[fmt][3]
-    for i, text in enumerate(texts):
-        out.write((row_sep if i else "") + text)
+    out.write(first)
+    out.writelines(texts)
     out.write(tail)
 
 
-def _render(
-    config: dict[str, object],
-    columns: list[str],
-    blocks: Iterable[list[tuple]],
-    fmt: str,
-    output: str | None,
-) -> None:
-    # Every block is evaluated and turned into text before the first byte is
-    # written, so an error leaves stdout empty and creates no file.
-    texts = [_rows_text(rows, fmt) for rows in blocks]
-    if output is None:
-        _write_table(sys.stdout, config, columns, texts, fmt)
-        return
+def _blocks(
+    grid: Iterable, rows: Callable[[list], list[tuple]], first: int, last: int
+) -> Iterator[list[tuple]]:
+    # rows(zs) for the blocks first..last-1 of the grid, each a run of at most
+    # _BLOCK_ROWS points.
+    grid = islice(grid, first * _BLOCK_ROWS, last * _BLOCK_ROWS)
+    while zs := list(islice(grid, _BLOCK_ROWS)):
+        yield rows(zs)
+
+
+def _range_texts(table: tuple, first: int, last: int, fmt: str) -> list[str]:
+    # The text of blocks first..last-1, each but block 0 after a row separator.
+    sep = _LAYOUT[fmt][3]
+    blocks = _blocks(table[0](), table[2], first, last)
+    return [sep * (i > 0) + _rows_text(rows, fmt) for i, rows in enumerate(blocks, first)]
+
+
+def _processes(blocks: int) -> int:
+    # One per CPU and at most one per block. A fork copies no thread, so with
+    # other threads alive it could copy a lock one of them holds.
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or threading and threading.active_count() > 1:
+        return 1
     try:
-        with open(output, "w", newline="") as handle:
-            _write_table(handle, config, columns, texts, fmt)
-    except OSError as exc:
-        raise UsageError(f"--output: {exc}") from exc
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(blocks, cpus))
+
+
+def _fork(table: tuple, first: int, last: int, fmt: str) -> tuple[int, int]:
+    # (pid, read end of its pipe) of a worker that writes "\1" and then the text
+    # of blocks first..last-1 to the pipe.
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:  # the worker; it leaves only here, with 0 once all is written
+        code = 1
+        try:
+            os.close(read)
+            texts = _range_texts(table, first, last, fmt)
+            with open(write, "w", encoding="utf-8", newline="") as pipe:
+                pipe.write("\1")
+                pipe.writelines(texts)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, read
+
+
+def _reap(pid: int, live: dict[int, int]) -> bool:
+    # Close a worker's pipe and wait for it; True if it wrote all its text.
+    os.close(live.pop(pid))
+    return os.waitpid(pid, 0)[1] == 0
+
+
+def _stream(
+    table: tuple, first: int, last: int, fmt: str, pid: int, live: dict[int, int]
+) -> Iterator[str]:
+    # A worker's text from its pipe, in 64 KiB pieces; if the worker dies
+    # before the end, the rest comes from evaluating its range here.
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    copied = 0
+    while data := os.read(live[pid], 1 << 16):
+        text = decode(data)
+        copied += len(text)
+        yield text
+    if not _reap(pid, live):
+        yield "".join(_range_texts(table, first, last, fmt))[copied:]
+
+
+def _render(
+    config: dict[str, object], columns: list[str], table: tuple, fmt: str, output: str | None
+) -> None:
+    """Evaluate table = (grid start, point count, rows of a list of points)
+    and write it to stdout or to the file output.
+
+    The blocks are cut into one contiguous range per process: this one
+    evaluates the first, a forked worker each other one. A range whose
+    worker fails is evaluated here, which raises what one process raises.
+    Nothing is written before every range is evaluated, so an error leaves
+    stdout empty and creates no file.
+    """
+    blocks = -(-table[1] // _BLOCK_ROWS)
+    n = _processes(blocks)
+    cuts = [blocks * i // n for i in range(n + 1)]
+    ranges = list(zip(cuts[1:], cuts[2:]))
+    live: dict[int, int] = {}  # worker pid -> read end of its pipe, until reaped
+    try:
+        for first, last in ranges:
+            try:
+                pid, fd = _fork(table, first, last, fmt)
+            except OSError:
+                break
+            live[pid] = fd
+        parts = [_range_texts(table, 0, cuts[1], fmt)]
+        for (first, last), pid in zip_longest(ranges, list(live)):
+            if pid and os.read(live[pid], 1) == b"\1":
+                parts.append(_stream(table, first, last, fmt, pid, live))
+            else:
+                parts.append(_range_texts(table, first, last, fmt))
+        if output is None:
+            _write_table(sys.stdout, config, columns, chain(*parts), fmt)
+            return
+        try:
+            with open(output, "w", newline="") as handle:
+                _write_table(handle, config, columns, chain(*parts), fmt)
+        except OSError as exc:
+            raise UsageError(f"--output: {exc}") from exc
+    finally:
+        if live:
+            import signal
+            for pid in list(live):
+                os.kill(pid, signal.SIGKILL)
+                _reap(pid, live)
 
 
 _THEORY_KINDS = {k.value: k for k in TheoryKind}
@@ -220,42 +331,39 @@ def _cmd_pressure(args: argparse.Namespace) -> int:
     energy = core.total_energy_per_area(st, th)
     columns = ["dim", "length", "theory", "bc", "pressure", "energy_per_area"]
     rows = [(st.dim_D, st.plate_gap_L, th.kind.value, th.bc.value, p, energy)]
-    _render(_base_config(args, th), columns, [rows], args.format, args.output)
+    table = (rows.__iter__, len(rows), list)
+    _render(_base_config(args, th), columns, table, args.format, args.output)
     return 0
 
 
-def _interior_grid(length: float, samples: int) -> Iterator[float]:
-    return (length * (i + 0.5) / samples for i in range(samples))
+def _midpoint(length: float, samples: int) -> Callable[[int], float]:
+    return lambda i: length * (i + 0.5) / samples
 
 
-def _blocks(
-    grid: Iterable[float], rows: Callable[[list[float]], list[tuple]]
-) -> Iterator[list[tuple]]:
-    # rows(zs) for consecutive runs zs of at most _BLOCK_ROWS grid points.
-    grid = iter(grid)
-    while zs := list(islice(grid, _BLOCK_ROWS)):
-        yield rows(zs)
-
-
-def _profile_blocks(args: argparse.Namespace, st: Spacetime, th: Theory) -> Iterator[list[tuple]]:
+def _profile_table(args: argparse.Namespace, st: Spacetime, th: Theory) -> tuple:
     length = st.plate_gap_L
     samples = args.samples
+    midpoint = _midpoint(length, samples)
     if args.subtracted:
         if th.kind is not TheoryKind.MAXWELL:
             raise UsageError("--subtracted: only defined for --theory maxwell")
         # Left exterior, interior, right exterior, each ascending: the order the
         # kernel would sort the whole grid into. (Only a length whose amplitude
         # the kernel rejects can round an interior point above L.)
-        grid = chain(
+        grid = lambda: chain(  # noqa: E731
             (-length * (i + 0.5) / samples for i in reversed(range(samples))),
-            _interior_grid(length, samples),
+            map(midpoint, range(samples)),
             (length + length * (i + 0.5) / samples for i in range(samples)),
         )
-        return _blocks(
+        return (
             grid,
+            3 * samples,
             lambda zs: [(*row[:-1], row[-1].value) for row in core.subtracted_rows(st, th.bc, zs)],
         )
-    if any(z == 0.0 or z == length for z in _interior_grid(length, samples)):
+    # The grid ascends, so it can meet a plate only at its first point or at
+    # the first point not below L.
+    top = bisect_left(range(samples), length, key=midpoint)
+    if midpoint(0) == 0.0 or top < samples and midpoint(top) == length:
         raise UsageError("--samples: grid point falls on a plate; densities diverge there")
     if th.kind is TheoryKind.MAXWELL:
         kernel = partial(core.em_stress_rows, st, th.bc)
@@ -263,8 +371,9 @@ def _profile_blocks(args: argparse.Namespace, st: Spacetime, th: Theory) -> Iter
         improved = th.kind is TheoryKind.SCALAR_IMPROVED
         kernel = partial(core.scalar_stress_rows, st, th.bc, improved=improved)
     interior = Region.INTERIOR.value
-    return _blocks(
-        _interior_grid(length, samples),
+    return (
+        partial(map, midpoint, range(samples)),
+        samples,
         lambda zs: [(z, *tensor, interior) for z, tensor in zip(zs, kernel(zs))],
     )
 
@@ -274,12 +383,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         raise UsageError(f"--samples: must be >= 2, got {args.samples}")
     st = _spacetime(args.dim, args.length)
     th = _build_theory(args.theory, args.bc)
-    blocks = _profile_blocks(args, st, th)
+    table = _profile_table(args, st, th)
     config = _base_config(args, th)
     config["samples"] = args.samples
     config["subtracted"] = bool(args.subtracted)
     columns = ["z", "t00", "tzz", "t_transverse", "trace", "region"]
-    _render(config, columns, blocks, args.format, args.output)
+    _render(config, columns, table, args.format, args.output)
     return 0
 
 
@@ -290,8 +399,9 @@ def _cmd_fluctuations(args: argparse.Namespace) -> int:
     if st.dim_D < 3:
         raise UsageError("--dim: fluctuations need D >= 3 (no transverse direction at D=2)")
     bc = _EM_BCS[args.bc or EmBC.METALLIC.value]
-    blocks = _blocks(
-        _interior_grid(st.plate_gap_L, args.samples),
+    table = (
+        partial(map, _midpoint(st.plate_gap_L, args.samples), range(args.samples)),
+        args.samples,
         lambda zs: [(z, *record) for z, record in zip(zs, core.em_fluctuations_rows(st, bc, zs))],
     )
     config = _base_config(args)
@@ -299,7 +409,7 @@ def _cmd_fluctuations(args: argparse.Namespace) -> int:
     config["bc"] = bc.value
     config["samples"] = args.samples
     columns = ["z", "Ez2", "Ei2", "Biz2", "Bij2"]
-    _render(config, columns, blocks, args.format, args.output)
+    _render(config, columns, table, args.format, args.output)
     return 0
 
 
@@ -332,7 +442,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "units": UNITS,
     }
     columns = ["dim", "base_energy_density", "pressure_scalar", "pressure_maxwell"]
-    _render(config, columns, [rows], args.format, args.output)
+    _render(config, columns, (rows.__iter__, len(rows), list), args.format, args.output)
     return 0
 
 
@@ -348,7 +458,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "units": UNITS,
     }
     columns = ["check", "residual", "tolerance", "status"]
-    _render(config, columns, [rows], args.format, args.output)
+    _render(config, columns, (rows.__iter__, len(rows), list), args.format, args.output)
     failures = [r for r in results if not r.passed]
     if failures:
         worst = max(failures, key=lambda r: r.residual / r.tolerance)

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 from importlib import resources
@@ -143,6 +144,15 @@ def test_profile_rejects_tiny_sample_count(capsys):
     code, _, err = run_cli(capsys, "profile", "--dim", "4", "--samples", "1")
     assert code == 2
     assert "--samples" in err
+
+
+def test_profile_rejects_a_grid_that_rounds_onto_a_plate(capsys):
+    # With 2**54 samples the last midpoint rounds to L, the first does not
+    # vanish, and the whole grid is far too long to scan.
+    for length in ("1", "0.37"):
+        code, out, err = run_cli(capsys, "profile", "--length", length, "--samples", str(2**54))
+        assert (code, out) == (2, "")
+        assert err == "error: --samples: grid point falls on a plate; densities diverge there\n"
 
 
 # ------------------------------------------------------------ fluctuations
@@ -396,8 +406,13 @@ _EDGE_FLOATS = st.sampled_from(_LAYOUT_EDGES + [-v for v in _LAYOUT_EDGES])
 
 def _table_text(config, columns, rows, fmt):
     # As the CLI renders a table: blocks of cli._BLOCK_ROWS rows, each turned
-    # into text, and then written.
-    texts = [cli._rows_text(block, fmt) for block in cli._blocks(rows, list)]
+    # into text; the texts of the first half of the blocks as one process
+    # keeps them and those of the rest joined, as a worker sends them; then
+    # written.
+    table = (rows.__iter__, len(rows), list)
+    blocks = -(-len(rows) // cli._BLOCK_ROWS)
+    texts = cli._range_texts(table, 0, blocks // 2, fmt)
+    texts.append("".join(cli._range_texts(table, blocks // 2, blocks, fmt)))
     out = io.StringIO()
     cli._write_table(out, config, columns, texts, fmt)
     return out.getvalue()
@@ -475,23 +490,63 @@ def test_column_writer_layout_edges():
             assert _table_text(config, ["a"], table, fmt) == reference(config, ["a"], table)
 
 
+def test_layout_edges_in_an_ordinary_block():
+    # The JSON relayout is skipped on a column with no line it could match;
+    # each edge must still be found among 1023 ordinary values.
+    config = {"units": "u"}
+    ordinary = [0.1 + i / 3e3 for i in range(cli._BLOCK_ROWS)]
+    for edge in _LAYOUT_EDGES + [-v for v in _LAYOUT_EDGES]:
+        for at in (0, 517, cli._BLOCK_ROWS - 1):
+            column = ordinary[:at] + [edge] + ordinary[at + 1:]
+            rows = [(v, -v, 1e-3 * v, "interior") for v in column]
+            for fmt, reference in (("json", _json_reference), ("csv", _csv_reference)):
+                assert _table_text(config, ["a", "b", "c", "d"], rows, fmt) == reference(
+                    config, ["a", "b", "c", "d"], rows
+                ), (edge, at, fmt)
+
+
 # ------------------------------------------------------------ grid blocks
 
 _GRID_KERNELS = ("em_stress_rows", "scalar_stress_rows", "em_fluctuations_rows", "subtracted_rows")
 
 
-def _spy_kernels(monkeypatch, fail_on_call=None):
-    """Wrap core's grid kernels; the returned list collects each call's grid size."""
-    sizes = []
+def _spy_kernels(monkeypatch, log, fail_at=None, worker_fault=None):
+    """Wrap core's grid kernels. Each call, in this process or a forked worker,
+    appends "pid size" to the file log; a call on a grid that holds fail_at
+    raises DomainError; in a worker, worker_fault(grid) runs first."""
+    parent = os.getpid()
     for name in _GRID_KERNELS:
         def spy(space, bc, grid, *rest, _real=getattr(core, name), **kw):
-            sizes.append(len(grid))
-            if len(sizes) == fail_on_call:
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()} {len(grid)}\n")
+            if worker_fault is not None and os.getpid() != parent:
+                worker_fault(grid)
+            if fail_at in grid:
                 raise DomainError("rigged failure")
             return _real(space, bc, grid, *rest, **kw)
 
         monkeypatch.setattr(core, name, spy)
-    return sizes
+
+
+def _kernel_calls(log):
+    """[(pid, grid size)] of the calls a spy logged, then empty the log."""
+    calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    log.write_text("")
+    return calls
+
+
+def _set_cpus(monkeypatch, cpus):
+    # The CLI runs one process per CPU it may use.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # (kind, dim, length, theory, bc): one case per grid kernel the CLI calls
@@ -511,6 +566,16 @@ def _grid_argv(kind, dim, length, theory, bc, samples):
     return argv + (["--subtracted"] if kind == "subtracted" else [])
 
 
+def _grid_points(kind, length, samples):
+    """The CLI's grid, in the order it is evaluated."""
+    grid = [length * (i + 0.5) / samples for i in range(samples)]
+    if kind != "subtracted":
+        return grid
+    left = [-length * (i + 0.5) / samples for i in range(samples)]
+    right = [length + length * (i + 0.5) / samples for i in range(samples)]
+    return left[::-1] + grid + right
+
+
 def _whole_grid_table(kind, dim, length, theory, bc, samples):
     """(config, columns, rows) from one kernel call on the whole grid."""
     space = Spacetime(dim, length)
@@ -524,9 +589,7 @@ def _whole_grid_table(kind, dim, length, theory, bc, samples):
     config["subtracted"] = kind == "subtracted"
     columns = ["z", "t00", "tzz", "t_transverse", "trace", "region"]
     if kind == "subtracted":
-        left = [-length * (i + 0.5) / samples for i in range(samples)]
-        right = [length + length * (i + 0.5) / samples for i in range(samples)]
-        rows = core.subtracted_rows(space, EmBC(bc), left + grid + right)
+        rows = core.subtracted_rows(space, EmBC(bc), _grid_points(kind, length, samples))
         return config, columns, [(*row[:-1], row[-1].value) for row in rows]
     if theory == "maxwell":
         tensors = core.em_stress_rows(space, EmBC(bc), grid)
@@ -536,32 +599,123 @@ def _whole_grid_table(kind, dim, length, theory, bc, samples):
 
 
 @pytest.mark.parametrize("case", _GRID_CASES, ids=[c[0] + "-" + c[3] for c in _GRID_CASES])
-def test_grid_blocks_match_one_whole_grid_call(capsys, monkeypatch, case):
+def test_grid_blocks_match_one_whole_grid_call(capsys, monkeypatch, tmp_path, case):
+    # In one process and with up to 4 forked workers.
     block = cli._BLOCK_ROWS
+    log = tmp_path / "calls"
+    fds = _open_fds()
     for samples in (block - 1, block, block + 1, 3 * block + 1):
         config, columns, rows = _whole_grid_table(*case, samples)
-        for fmt, reference in (("csv", _csv_reference), ("json", _json_reference)):
-            with monkeypatch.context() as patch:
-                sizes = _spy_kernels(patch)
-                code, out, err = run_cli(capsys, *_grid_argv(*case, samples), "--format", fmt)
-            assert (code, err) == (0, "")
-            assert out == reference(config, columns, rows), (samples, fmt)
-            # every point once, in calls of at most one block each
-            assert max(sizes) <= block and sum(sizes) == len(rows)
-            assert len(sizes) == -(-len(rows) // block)
+        blocks = -(-len(rows) // block)
+        for cpus in (1, 4):
+            for fmt, reference in (("csv", _csv_reference), ("json", _json_reference)):
+                with monkeypatch.context() as patch:
+                    _spy_kernels(patch, log)
+                    _set_cpus(patch, cpus)
+                    code, out, err = run_cli(capsys, *_grid_argv(*case, samples), "--format", fmt)
+                assert (code, err) == (0, "")
+                assert out == reference(config, columns, rows), (samples, cpus, fmt)
+                # every point once, in calls of at most one block each
+                pids, sizes = zip(*_kernel_calls(log))
+                assert max(sizes) <= block and sum(sizes) == len(rows)
+                assert len(sizes) == blocks
+                assert os.getpid() in pids and len(set(pids)) == min(cpus, blocks)
+                _assert_no_child_left()
+                assert _open_fds() == fds
 
 
 @pytest.mark.parametrize("kind", ["profile", "subtracted", "fluctuations"])
 def test_error_in_a_later_block_writes_nothing(capsys, monkeypatch, tmp_path, kind):
-    argv = _grid_argv(kind, 6, 1.0, "maxwell", "metallic", cli._BLOCK_ROWS + 1)
+    # The second block raises; with 4 CPUs it is a worker's range, which this
+    # process evaluates again to raise the same error.
+    samples = cli._BLOCK_ROWS + 1
+    argv = _grid_argv(kind, 6, 1.0, "maxwell", "metallic", samples)
+    fail_at = _grid_points(kind, 1.0, samples)[cli._BLOCK_ROWS]
     path = tmp_path / "table.out"
-    for extra in ([], ["--output", str(path)], ["--format", "json", "--output", str(path)]):
-        with monkeypatch.context() as patch:
-            sizes = _spy_kernels(patch, fail_on_call=2)
-            code, out, err = run_cli(capsys, *argv, *extra)
-        assert len(sizes) == 2
+    log = tmp_path / "calls"
+    fds = _open_fds()
+    for cpus in (1, 4):
+        for extra in ([], ["--output", str(path)], ["--format", "json", "--output", str(path)]):
+            with monkeypatch.context() as patch:
+                _spy_kernels(patch, log, fail_at=fail_at)
+                _set_cpus(patch, cpus)
+                code, out, err = run_cli(capsys, *argv, *extra)
+            calls = _kernel_calls(log)
+            # this process stops at the failing block
+            assert len([pid for pid, _ in calls if pid == os.getpid()]) == 2
+            # with workers, one of them met the failing block first
+            assert any(pid != os.getpid() for pid, _ in calls) == (cpus > 1)
+            assert (code, out, err) == (2, "", "error: rigged failure\n")
+            assert not path.exists()
+            _assert_no_child_left()
+            assert _open_fds() == fds
+
+
+def _worker_exits(grid):
+    os._exit(3)
+
+
+def _worker_killed(grid):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("fault", ["exit", "kill", "killed-while-writing", "fork-error", "error"])
+def test_failed_workers_change_no_byte(capsys, monkeypatch, tmp_path, fault):
+    # 3 workers on 3 * _BLOCK_ROWS + 1 points; each fault leaves the bytes of
+    # a one-process run, or its error, and no child or descriptor behind.
+    samples = 3 * cli._BLOCK_ROWS + 1
+    argv = _grid_argv("profile", 9, 0.37, "maxwell", "mit", samples) + ["--format", "json"]
+    log = tmp_path / "calls"
+    path = tmp_path / "table.out"
+    with monkeypatch.context() as patch:
+        _set_cpus(patch, 1)
+        assert cli.main(argv + ["--output", str(path)]) == 0
+    expected = path.read_text()
+    path.unlink()
+    fds = _open_fds()
+    parent = os.getpid()
+    real_range_texts = cli._range_texts
+    with monkeypatch.context() as patch:
+        _set_cpus(patch, 4)
+        fail_at = None
+        worker_fault = {"exit": _worker_exits, "kill": _worker_killed}.get(fault)
+        if fault == "error":
+            fail_at = _grid_points("profile", 0.37, samples)[-1]
+        elif fault == "fork-error":
+            def no_fork():
+                raise OSError("rigged fork failure")
+
+            patch.setattr(os, "fork", no_fork)
+        elif fault == "killed-while-writing":
+            def range_texts(*args):
+                texts = real_range_texts(*args)
+                if os.getpid() == parent:
+                    return texts
+
+                def die_halfway():
+                    # Half a block's text is more than the writer buffers, so
+                    # part of the range reaches the pipe before the worker dies.
+                    yield texts[0][: len(texts[0]) // 2]
+                    os.kill(os.getpid(), signal.SIGKILL)
+
+                return die_halfway()
+
+            patch.setattr(cli, "_range_texts", range_texts)
+        _spy_kernels(patch, log, fail_at=fail_at, worker_fault=worker_fault)
+        code, out, err = run_cli(capsys, *argv)
+        calls = _kernel_calls(log)
+        code_file, out_file, err_file = run_cli(capsys, *argv, "--output", str(path))
+    if fault == "error":
         assert (code, out, err) == (2, "", "error: rigged failure\n")
+        assert (code_file, out_file, err_file) == (2, "", "error: rigged failure\n")
         assert not path.exists()
+    else:
+        assert (code, err) == (0, "") and out == expected
+        assert (code_file, out_file, err_file) == (0, "", "") and path.read_text() == expected
+    pids = {pid for pid, _ in calls}
+    assert parent in pids and len(pids) == (1 if fault == "fork-error" else 4)
+    _assert_no_child_left()
+    assert _open_fds() == fds
 
 
 def test_json_output_validates_against_shipped_schema(capsys):
