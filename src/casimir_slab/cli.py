@@ -9,11 +9,11 @@ fluctuations  squared field-strength fluctuations on a z grid
 sweep         global quantities across a range of dimensions
 verify        run the oracle consistency suite; exit 1 on any failure
 
-Exit codes: 0 success, 1 verification failure, 2 usage error. Identical
-configurations produce byte-identical output. All numbers are printed
-with 12 significant digits; lengths enter every result only through
-exact powers, so rescaling --length never changes the digits in an
-unpredictable way.
+Exit codes: 0 success, 1 verification failure, 2 usage error (one stderr
+line, argparse's errors included). Identical configurations produce
+byte-identical output. All numbers are printed with 12 significant
+digits; lengths enter every result only through exact powers, so
+rescaling --length never changes the digits in an unpredictable way.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ import re
 import sys
 from bisect import bisect_left
 from functools import partial
-from itertools import chain, groupby, islice, zip_longest
-from operator import eq, neg
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from itertools import chain, islice, zip_longest
+from operator import add, eq, neg
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
 from . import core
 from .core import EmBC, Region, ScalarBC, Spacetime, Theory, TheoryKind
@@ -48,10 +48,10 @@ def _round12(value: float) -> float:
 # this many points at a time, so no command holds a large table's rows whole.
 _BLOCK_ROWS = 1024
 
-# (cell separator, row opening, row closing, row separator, empty row)
+# (cell separator, row opening, row closing, row separator)
 _LAYOUT = {
-    "csv": (",", "", "\n", "", "\n"),
-    "json": (",\n      ", "    [\n      ", "\n    ]", ",\n", "    []"),
+    "csv": (",", "", "\n", ""),
+    "json": (",\n      ", "    [\n      ", "\n    ]", ",\n"),
 }
 
 # "%.12g" has the digits of repr(float(f"{v:.11e}")), and its layout too
@@ -68,8 +68,7 @@ def _relayout(match: re.Match) -> str:
 
 
 def _cell(value: object, fmt: str) -> str:
-    if isinstance(value, float):
-        return f"{value:.11e}" if fmt == "csv" else repr(_round12(value))
+    # A cell that is not a float.
     if fmt == "csv":
         return str(value)
     import json  # here and in _write_table only, so that writing CSV never loads it
@@ -87,21 +86,17 @@ def _float_lines(column: tuple, fmt: str) -> str:
     return text
 
 
-def _column_texts(rows: list[tuple], fmt: str) -> list[list[str]]:
-    """The cell texts of rows of equal length, one list per column."""
+def _column_texts(columns: Iterable[Sequence], fmt: str) -> list[list[str]]:
+    """The cell texts of columns of equal length, each a tuple of floats or holding no float."""
     texts = []
     negatable = []  # earlier float columns without a zero, with their lines
-    for column in zip(*rows):
-        kinds = set(map(type, column))
-        kind = kinds.pop()
-        if kinds:  # mixed types
-            texts.append([_cell(v, fmt) for v in column])
-        elif not issubclass(kind, float):
+    for column in columns:
+        if not isinstance(column[0], float):
             memo = {v: _cell(v, fmt) for v in set(column)}
             texts.append(list(map(memo.__getitem__, column)))
         elif column.count(column[0]) == len(column) and column[0] != 0.0:
             # 0.0 == -0.0, so a zero column is not known to be constant
-            texts.append([_cell(column[0], fmt)] * len(column))
+            texts.append([_float_lines(column[:1], fmt)] * len(column))
         else:
             for other, other_lines in negatable:
                 if column[0] == -other[0] and all(map(eq, column, map(neg, other))):
@@ -116,19 +111,6 @@ def _column_texts(rows: list[tuple], fmt: str) -> list[list[str]]:
     return texts
 
 
-def _rows_text(rows: list[tuple], fmt: str) -> str:
-    cell_sep, row_open, row_close, row_sep, empty_row = _LAYOUT[fmt]
-    parts = []
-    for width, group in groupby(rows, len):
-        group = list(group)
-        if width == 0:
-            parts.append(row_sep.join([empty_row] * len(group)))
-        else:
-            lines = map(cell_sep.join, zip(*_column_texts(group, fmt)))
-            parts.append(row_open + (row_close + row_sep + row_open).join(lines) + row_close)
-    return row_sep.join(parts)
-
-
 def _write_table(
     out: TextIO, config: dict[str, object], columns: list[str], texts: Iterable[str], fmt: str
 ) -> None:
@@ -137,7 +119,8 @@ def _write_table(
     texts is the rows' text as _range_texts renders it, in pieces split
     anywhere; the first is empty only if there are no rows. Floats print
     with 12 significant digits: f"{v:.11e}" in CSV, and in JSON the repr
-    of that rounded value. The rows are not handed to json.dumps because
+    of that rounded value; any other cell prints as str in CSV and as
+    json.dumps in JSON. The rows are not handed to json.dumps because
     with indent it uses its pure-Python encoder, which costs more than
     evaluating a large grid.
     """
@@ -156,21 +139,22 @@ def _write_table(
     out.write(tail)
 
 
-def _blocks(
-    grid: Iterable, rows: Callable[[list], list[tuple]], first: int, last: int
-) -> Iterator[list[tuple]]:
-    # rows(zs) for the blocks first..last-1 of the grid, each a run of at most
-    # _BLOCK_ROWS points.
-    grid = islice(grid, first * _BLOCK_ROWS, last * _BLOCK_ROWS)
-    while zs := list(islice(grid, _BLOCK_ROWS)):
-        yield rows(zs)
-
-
 def _range_texts(table: tuple, first: int, last: int, fmt: str) -> list[str]:
-    # The text of blocks first..last-1, each but block 0 after a row separator.
-    sep = _LAYOUT[fmt][3]
-    blocks = _blocks(table[0](), table[2], first, last)
-    return [sep * (i > 0) + _rows_text(rows, fmt) for i, rows in enumerate(blocks, first)]
+    # The text of the blocks first..last-1 of the table, each a run of at most
+    # _BLOCK_ROWS points, and each but block 0 after a row separator.
+    cell_sep, row_open, row_close, row_sep = _LAYOUT[fmt]
+    grid = islice(table[0](), first * _BLOCK_ROWS, last * _BLOCK_ROWS)
+    texts = []
+    while zs := tuple(islice(grid, _BLOCK_ROWS)):
+        lines = map(cell_sep.join, zip(*_column_texts(table[2](zs), fmt)))
+        sep = row_sep * (first + len(texts) > 0)
+        texts.append(sep + row_open + (row_close + row_sep + row_open).join(lines) + row_close)
+    return texts
+
+
+def _rows_table(rows: list[tuple]) -> tuple:
+    # A table of rows already evaluated, as _render takes it.
+    return rows.__iter__, len(rows), lambda block: zip(*block)
 
 
 def _processes(blocks: int) -> int:
@@ -188,7 +172,9 @@ def _processes(blocks: int) -> int:
 
 def _fork(table: tuple, first: int, last: int, fmt: str) -> tuple[int, int]:
     # (pid, read end of its pipe) of a worker that writes "\1" and then the text
-    # of blocks first..last-1 to the pipe.
+    # of blocks first..last-1 to the pipe. The worker stops before its next
+    # block once this process is gone, as no one would read its text.
+    parent = os.getpid()
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -200,7 +186,14 @@ def _fork(table: tuple, first: int, last: int, fmt: str) -> tuple[int, int]:
         code = 1
         try:
             os.close(read)
-            texts = _range_texts(table, first, last, fmt)
+            grid, points, columns = table
+
+            def parented_columns(zs: tuple) -> Iterable[Sequence]:
+                if os.getppid() != parent:
+                    os._exit(1)
+                return columns(zs)
+
+            texts = _range_texts((grid, points, parented_columns), first, last, fmt)
             with open(write, "w", encoding="utf-8", newline="") as pipe:
                 pipe.write("\1")
                 pipe.writelines(texts)
@@ -235,8 +228,12 @@ def _stream(
 def _render(
     config: dict[str, object], columns: list[str], table: tuple, fmt: str, output: str | None
 ) -> None:
-    """Evaluate table = (grid start, point count, rows of a list of points)
+    """Evaluate table = (grid start, point count, columns of a tuple of points)
     and write it to stdout or to the file output.
+
+    The columns of a tuple of points are an iterable of at least one column,
+    each with one cell per point: a tuple of floats, or a sequence that holds
+    no float.
 
     The blocks are cut into one contiguous range per process: this one
     evaluates the first, a forked worker each other one. A range whose
@@ -331,79 +328,80 @@ def _cmd_pressure(args: argparse.Namespace) -> int:
     energy = core.total_energy_per_area(st, th)
     columns = ["dim", "length", "theory", "bc", "pressure", "energy_per_area"]
     rows = [(st.dim_D, st.plate_gap_L, th.kind.value, th.bc.value, p, energy)]
-    table = (rows.__iter__, len(rows), list)
-    _render(_base_config(args, th), columns, table, args.format, args.output)
+    _render(_base_config(args, th), columns, _rows_table(rows), args.format, args.output)
     return 0
 
 
-def _midpoint(length: float, samples: int) -> Callable[[int], float]:
-    return lambda i: length * (i + 0.5) / samples
+def _midpoint_grid(samples: int, exterior: bool = False) -> Callable[[float], tuple]:
+    """The grid of samples midpoints between plates L apart, and if exterior
+    their mirror images beyond each plate: the grid of every grid command.
 
+    Checks --samples >= 2 now. Returns the function of the checked L that
+    gives (grid start, point count), or raises UsageError if a point rounds
+    onto a plate, so that this check comes after every other setup check.
+    """
+    if samples < 2:
+        raise UsageError(f"--samples: must be >= 2, got {samples}")
 
-def _profile_table(args: argparse.Namespace, st: Spacetime, th: Theory) -> tuple:
-    length = st.plate_gap_L
-    samples = args.samples
-    midpoint = _midpoint(length, samples)
-    if args.subtracted:
-        if th.kind is not TheoryKind.MAXWELL:
-            raise UsageError("--subtracted: only defined for --theory maxwell")
+    def place(length: float) -> tuple[Callable[[], Iterator[float]], int]:
+        midpoint = lambda i: length * (i + 0.5) / samples  # noqa: E731
+        # The midpoints ascend, so they can meet a plate only at the first one
+        # or at the first one not below L, and the exterior points -z and
+        # L + z only at the first midpoint.
+        top = bisect_left(range(samples), length, key=midpoint)
+        low = midpoint(0) == 0.0 or exterior and length + midpoint(0) == length
+        if low or top < samples and midpoint(top) == length:
+            raise UsageError("--samples: grid point falls on a plate; densities diverge there")
+        if not exterior:
+            return partial(map, midpoint, range(samples)), samples
         # Left exterior, interior, right exterior, each ascending: the order the
         # kernel would sort the whole grid into. (Only a length whose amplitude
         # the kernel rejects can round an interior point above L.)
         grid = lambda: chain(  # noqa: E731
-            (-length * (i + 0.5) / samples for i in reversed(range(samples))),
+            map(neg, map(midpoint, reversed(range(samples)))),
             map(midpoint, range(samples)),
-            (length + length * (i + 0.5) / samples for i in range(samples)),
+            map(partial(add, length), map(midpoint, range(samples))),
         )
-        return (
-            grid,
-            3 * samples,
-            lambda zs: [(*row[:-1], row[-1].value) for row in core.subtracted_rows(st, th.bc, zs)],
-        )
-    # The grid ascends, so it can meet a plate only at its first point or at
-    # the first point not below L.
-    top = bisect_left(range(samples), length, key=midpoint)
-    if midpoint(0) == 0.0 or top < samples and midpoint(top) == length:
-        raise UsageError("--samples: grid point falls on a plate; densities diverge there")
-    if th.kind is TheoryKind.MAXWELL:
-        kernel = partial(core.em_stress_rows, st, th.bc)
-    else:
-        improved = th.kind is TheoryKind.SCALAR_IMPROVED
-        kernel = partial(core.scalar_stress_rows, st, th.bc, improved=improved)
-    interior = Region.INTERIOR.value
-    return (
-        partial(map, midpoint, range(samples)),
-        samples,
-        lambda zs: [(z, *tensor, interior) for z, tensor in zip(zs, kernel(zs))],
-    )
+        return grid, 3 * samples
+
+    return place
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    if args.samples < 2:
-        raise UsageError(f"--samples: must be >= 2, got {args.samples}")
+    place = _midpoint_grid(args.samples, args.subtracted)
     st = _spacetime(args.dim, args.length)
     th = _build_theory(args.theory, args.bc)
-    table = _profile_table(args, st, th)
+    if args.subtracted and th.kind is not TheoryKind.MAXWELL:
+        raise UsageError("--subtracted: only defined for --theory maxwell")
+    grid, points = place(st.plate_gap_L)
+    if args.subtracted:
+        def columns(zs: tuple) -> list[Sequence]:
+            *values, regions = zip(*core.subtracted_rows(st, th.bc, zs))
+            return [*values, [region.value for region in regions]]
+    else:
+        if th.kind is TheoryKind.MAXWELL:
+            kernel = partial(core.em_stress_rows, st, th.bc)
+        else:
+            improved = th.kind is TheoryKind.SCALAR_IMPROVED
+            kernel = partial(core.scalar_stress_rows, st, th.bc, improved=improved)
+        interior = [Region.INTERIOR.value]
+        columns = lambda zs: [zs, *zip(*kernel(zs)), interior * len(zs)]  # noqa: E731
     config = _base_config(args, th)
     config["samples"] = args.samples
     config["subtracted"] = bool(args.subtracted)
-    columns = ["z", "t00", "tzz", "t_transverse", "trace", "region"]
-    _render(config, columns, table, args.format, args.output)
+    names = ["z", "t00", "tzz", "t_transverse", "trace", "region"]
+    _render(config, names, (grid, points, columns), args.format, args.output)
     return 0
 
 
 def _cmd_fluctuations(args: argparse.Namespace) -> int:
-    if args.samples < 2:
-        raise UsageError(f"--samples: must be >= 2, got {args.samples}")
+    place = _midpoint_grid(args.samples)
     st = _spacetime(args.dim, args.length)
     if st.dim_D < 3:
         raise UsageError("--dim: fluctuations need D >= 3 (no transverse direction at D=2)")
     bc = _EM_BCS[args.bc or EmBC.METALLIC.value]
-    table = (
-        partial(map, _midpoint(st.plate_gap_L, args.samples), range(args.samples)),
-        args.samples,
-        lambda zs: [(z, *record) for z, record in zip(zs, core.em_fluctuations_rows(st, bc, zs))],
-    )
+    grid, points = place(st.plate_gap_L)
+    table = (grid, points, lambda zs: [zs, *zip(*core.em_fluctuations_rows(st, bc, zs))])
     config = _base_config(args)
     config["theory"] = TheoryKind.MAXWELL.value
     config["bc"] = bc.value
@@ -442,7 +440,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "units": UNITS,
     }
     columns = ["dim", "base_energy_density", "pressure_scalar", "pressure_maxwell"]
-    _render(config, columns, (rows.__iter__, len(rows), list), args.format, args.output)
+    _render(config, columns, _rows_table(rows), args.format, args.output)
     return 0
 
 
@@ -458,7 +456,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "units": UNITS,
     }
     columns = ["check", "residual", "tolerance", "status"]
-    _render(config, columns, (rows.__iter__, len(rows), list), args.format, args.output)
+    _render(config, columns, _rows_table(rows), args.format, args.output)
     failures = [r for r in results if not r.passed]
     if failures:
         worst = max(failures, key=lambda r: r.residual / r.tolerance)
@@ -471,8 +469,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    # Sub-parsers are made of the parser's own class, so every argparse error
+    # is a one-line UsageError instead of a usage text and a SystemExit.
+    def error(self, message: str) -> NoReturn:
+        raise UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="casimir-slab",
         description="Vacuum energies, pressures and stress profiles between parallel hyperplanes.",
     )
@@ -540,9 +545,8 @@ _DISPATCH = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _DISPATCH[args.command](args)
     except (UsageError, DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -268,10 +268,21 @@ def _image_profile(dim: int, firsts: Iterable[float], seconds: Iterable[float]) 
     return map(add, specfun._hurwitz_many(d, firsts), specfun._hurwitz_many(d, seconds))
 
 
-def _profile_stress_rows(
-    dim: int, xs: list[float], pre: float, zeta: float, k: float, tzz: float
+def _stress_rows(
+    st: Spacetime, bc: ScalarBC | EmBC, grid: Iterable[float], dof: int, coef: float
 ) -> list[tuple[float, float, float, float]]:
-    # t00 = pre [zeta(D) + k f(x)] at each x, with a z-independent tzz.
+    # Rows (t00, tzz, t_transverse, trace) of dof scalar polarisations on a
+    # grid of 0 < z < L: t00 = -dof A [zeta(D) +/- coef f(z/L)] and
+    # tzz = dof (D-1) e0, with t00 = dof e0 at every z when coef is 0.
+    dim = st.dim_D
+    scale, zeta = _amplitude(dim, st.plate_gap_L)
+    xs = _interior_xs(st, grid)
+    e0 = -(scale * zeta)
+    tzz = (dof * (dim - 1)) * e0
+    if coef == 0.0:
+        return [_stress_row(dim, dof * e0, tzz)] * len(xs)
+    pre = -dof * scale
+    k = _bc_sign(bc) * coef
     rows = []
     for f in _image_profile(dim, xs, (1.0 - x for x in xs)):
         t00 = pre * (zeta + k * f)
@@ -351,15 +362,7 @@ def scalar_stress_rows(
     st: Spacetime, bc: ScalarBC, grid: Iterable[float], improved: bool = False
 ) -> list[tuple]:
     """scalar_stress as rows (t00, tzz, t_transverse, trace) on a grid of 0 < z < L."""
-    dim = st.dim_D
-    scale, zeta = _amplitude(dim, st.plate_gap_L)
-    xs = _interior_xs(st, grid)
-    e0 = -(scale * zeta)
-    tzz = (dim - 1) * e0
-    coef = dim / 2.0 - 1.0
-    if improved or coef == 0.0:
-        return [_stress_row(dim, e0, tzz)] * len(xs)
-    return _profile_stress_rows(dim, xs, -scale, zeta, _bc_sign(bc) * coef, tzz)
+    return _stress_rows(st, bc, grid, 1, 0.0 if improved else st.dim_D / 2.0 - 1.0)
 
 
 def scalar_energy_density(st: Spacetime, bc: ScalarBC, z: float) -> float:
@@ -439,17 +442,9 @@ def field_invariant(fl: FieldFluctuations, dim_D: int) -> float:
 
 def em_stress_rows(st: Spacetime, bc: EmBC, grid: Iterable[float]) -> list[tuple]:
     """em_stress as rows (t00, tzz, t_transverse, trace) on a grid of 0 < z < L."""
-    dim = st.dim_D
-    if dim < 3:
+    if st.dim_D < 3:
         raise DomainError("em_stress: Maxwell needs D >= 3")
-    scale, zeta = _amplitude(dim, st.plate_gap_L)
-    xs = _interior_xs(st, grid)
-    e0 = -(scale * zeta)
-    tzz = ((dim - 2) * (dim - 1)) * e0
-    coef = dim / 2.0 - 2.0
-    if coef == 0.0:
-        return [_stress_row(dim, (dim - 2) * e0, tzz)] * len(xs)
-    return _profile_stress_rows(dim, xs, -(dim - 2) * scale, zeta, _bc_sign(bc) * coef, tzz)
+    return _stress_rows(st, bc, grid, st.dim_D - 2, st.dim_D / 2.0 - 2.0)
 
 
 def em_stress(st: Spacetime, bc: EmBC, z: float) -> StressTensor:

@@ -1,5 +1,6 @@
 """CLI tests: exit codes, formats, determinism, schema conformance."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -9,6 +10,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 from importlib import resources
 from unittest import mock
 
@@ -146,12 +148,28 @@ def test_profile_rejects_tiny_sample_count(capsys):
     assert "--samples" in err
 
 
-def test_profile_rejects_a_grid_that_rounds_onto_a_plate(capsys):
+def _no_kernel_call(*args, **kwargs):
+    raise AssertionError("a grid kernel ran")
+
+
+def test_profile_rejects_a_grid_that_rounds_onto_a_plate(capsys, monkeypatch):
     # With 2**54 samples the last midpoint rounds to L, the first does not
-    # vanish, and the whole grid is far too long to scan.
-    for length in ("1", "0.37"):
-        code, out, err = run_cli(capsys, "profile", "--length", length, "--samples", str(2**54))
-        assert (code, out) == (2, "")
+    # vanish, and the whole grid is far too long to scan. With 2**52 + 1 at
+    # L = 1 only the first right-exterior point, L + z_0, rounds to L.
+    for name in _GRID_KERNELS:
+        monkeypatch.setattr(core, name, _no_kernel_call)
+    samples = 2**52 + 1
+    z_0 = 0.5 / samples
+    assert 0.0 < z_0 and 1.0 * (samples - 1 + 0.5) / samples < 1.0 and 1.0 + z_0 == 1.0
+    cases = [
+        (command, length, str(2**54))
+        for command in (["profile"], ["profile", "--subtracted"], ["fluctuations"])
+        for length in ("1", "0.37")
+    ]
+    cases.append((["profile", "--subtracted"], "1", str(samples)))
+    for command, length, count in cases:
+        code, out, err = run_cli(capsys, *command, "--length", length, "--samples", count)
+        assert (code, out) == (2, ""), (command, length, count)
         assert err == "error: --samples: grid point falls on a plate; densities diverge there\n"
 
 
@@ -385,14 +403,6 @@ def test_json_output_is_strict_json(capsys):
         assert all(len(row) == len(doc["columns"]) for row in doc["rows"])
 
 
-_CELLS = (
-    st.floats(allow_nan=False, allow_infinity=False)
-    | st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300])
-    | st.floats(min_value=1e-300, max_value=1e300)
-    | st.integers()
-    | st.text()
-)
-
 # Floats where the layout of f"{v:.12g}" and of the repr of the rounded
 # value part ways, or nearly do.
 _LAYOUT_EDGES = [
@@ -402,6 +412,11 @@ _LAYOUT_EDGES = [
     2.2250738585072014e-308, 2.225073858507201e-308, 1e-310, 5e-324,
 ]
 _EDGE_FLOATS = st.sampled_from(_LAYOUT_EDGES + [-v for v in _LAYOUT_EDGES])
+_FLOATS = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats(min_value=1e-300, max_value=1e300)
+    | _EDGE_FLOATS
+)
 
 
 def _table_text(config, columns, rows, fmt):
@@ -409,7 +424,7 @@ def _table_text(config, columns, rows, fmt):
     # into text; the texts of the first half of the blocks as one process
     # keeps them and those of the rest joined, as a worker sends them; then
     # written.
-    table = (rows.__iter__, len(rows), list)
+    table = cli._rows_table(rows)
     blocks = -(-len(rows) // cli._BLOCK_ROWS)
     texts = cli._range_texts(table, 0, blocks // 2, fmt)
     texts.append("".join(cli._range_texts(table, blocks // 2, blocks, fmt)))
@@ -429,46 +444,46 @@ def _csv_reference(config, columns, rows):
     return "\n".join(lines) + "\n"
 
 
-@given(
-    config=st.dictionaries(st.text(), st.integers() | st.text() | st.booleans(), max_size=4),
-    columns=st.lists(st.text(), max_size=6),
-    rows=st.lists(st.lists(_CELLS, max_size=6), max_size=8),
-)
-@settings(max_examples=300)
-def test_json_writer_matches_json_dumps(config, columns, rows):
-    assert _table_text(config, columns, rows, "json") == _json_reference(config, columns, rows)
-
-
 @st.composite
-def _column_tables(draw):
-    """Rows built column by column, so that each branch of the writer runs:
-    constant columns, negated copies of earlier columns (exact, with zeros,
-    normalised by + 0.0 or off by one cell), layout edges, mixed types,
-    and ragged rows after them."""
-    n = draw(st.integers(min_value=1, max_value=12))
-    floats = st.floats(allow_nan=False, allow_infinity=False) | _EDGE_FLOATS
+def _column_tables(draw, min_rows=1, max_rows=12):
+    """Rectangular rows built column by column, each column all floats or
+    holding no float, so that each branch of the writer runs: constant
+    columns, negated copies of earlier columns (exact, with zeros,
+    normalised by + 0.0 or off by one cell), layout edges, and columns of
+    integers and text."""
+    n = draw(st.integers(min_value=min_rows, max_value=max_rows))
     cols = []
     for _ in range(draw(st.integers(min_value=1, max_value=6))):
-        kind = draw(st.sampled_from(["constant", "negated", "floats", "mixed", "text"]))
+        kind = draw(st.sampled_from(["constant", "negated", "floats", "cells", "text"]))
         if kind == "constant":
-            cols.append([draw(floats | st.integers() | st.text())] * n)
-        elif kind == "negated" and any(set(map(type, c)) == {float} for c in cols):
-            base = draw(st.sampled_from([c for c in cols if set(map(type, c)) == {float}]))
+            cols.append([draw(_FLOATS | st.integers() | st.text())] * n)
+        elif kind == "negated" and any(isinstance(c[0], float) for c in cols if c):
+            base = draw(st.sampled_from([c for c in cols if c and isinstance(c[0], float)]))
             col = [-v + 0.0 if draw(st.booleans()) else -v for v in base]
             if draw(st.booleans()):
                 i = draw(st.integers(min_value=0, max_value=n - 1))
-                col[i] = draw(floats)
+                col[i] = draw(_FLOATS)
             cols.append(col)
-        elif kind == "mixed":
-            cols.append(draw(st.lists(_CELLS | _EDGE_FLOATS, min_size=n, max_size=n)))
+        elif kind == "cells":
+            cols.append(draw(st.lists(st.integers() | st.text(), min_size=n, max_size=n)))
         elif kind == "text":
             cols.append(draw(st.lists(st.sampled_from(["interior", "a,b", '"q"', ""]),
                                       min_size=n, max_size=n)))
         else:
-            cols.append(draw(st.lists(floats, min_size=n, max_size=n)))
-    rows = [tuple(row) for row in zip(*cols)]
-    rows += draw(st.lists(st.lists(_CELLS | _EDGE_FLOATS, max_size=4), max_size=4))
-    return rows
+            cols.append(draw(st.lists(_FLOATS, min_size=n, max_size=n)))
+    return [tuple(row) for row in zip(*cols)]
+
+
+@given(
+    config=st.dictionaries(st.text(), st.integers() | st.text() | st.booleans(), max_size=4),
+    columns=st.lists(st.text(), max_size=6),
+    rows=_column_tables(min_rows=0, max_rows=8),
+    block=st.sampled_from([1, 2, 3, 4096]),
+)
+@settings(max_examples=300)
+def test_json_writer_matches_json_dumps(config, columns, rows, block):
+    with mock.patch.object(cli, "_BLOCK_ROWS", block):
+        assert _table_text(config, columns, rows, "json") == _json_reference(config, columns, rows)
 
 
 @given(rows=_column_tables(), block=st.sampled_from([1, 2, 3, 4096]))
@@ -718,6 +733,52 @@ def test_failed_workers_change_no_byte(capsys, monkeypatch, tmp_path, fault):
     assert _open_fds() == fds
 
 
+def _process_gone(pid):
+    # Gone, or a zombie that only waits for its new parent to reap it.
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def test_a_worker_stops_once_its_cli_process_is_killed(monkeypatch, tmp_path):
+    # Each block sleeps; the CLI process, forked from this one, is killed as
+    # soon as its worker has started on its 20 blocks. The worker must stop
+    # within a couple of blocks, not compute its whole range and then die on
+    # the closed pipe.
+    samples = 40 * cli._BLOCK_ROWS
+    log = tmp_path / "calls"
+    log.write_text("")
+    argv = _grid_argv("profile", 7, 0.37, "maxwell", "mit", samples)
+    _spy_kernels(monkeypatch, log, worker_fault=lambda grid: time.sleep(0.2))
+    _set_cpus(monkeypatch, 2)
+    cli_pid = os.fork()
+    if cli_pid == 0:
+        code = 1
+        try:
+            with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+                code = cli.main(argv)
+        finally:
+            os._exit(code)
+    calls = []
+    deadline = time.monotonic() + 30
+    try:
+        while {pid for pid, _ in calls} <= {cli_pid} and time.monotonic() < deadline:
+            time.sleep(0.01)
+            calls += _kernel_calls(log)
+    finally:
+        os.kill(cli_pid, signal.SIGKILL)
+        os.waitpid(cli_pid, 0)
+    (worker,) = {pid for pid, _ in calls} - {cli_pid}
+    while not _process_gone(worker) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert _process_gone(worker)
+    calls += _kernel_calls(log)
+    assert 1 <= len([pid for pid, _ in calls if pid == worker]) <= 3
+    _assert_no_child_left()
+
+
 def test_json_output_validates_against_shipped_schema(capsys):
     jsonschema = pytest.importorskip("jsonschema")
     schema_text = (
@@ -752,6 +813,12 @@ def test_usage_errors_exit_2(capsys):
         ["fluctuations", "--dim", "24", "--length", "1e-12", "--samples", "8"],
         ["sweep", "--dims", "20:24", "--length", "1e-13", "--format", "json"],
         ["sweep", "--length", "-1"],
+        # argparse's own errors
+        ["profile", "--samples", "1e3"],
+        ["profile", "--format", "xml"],
+        ["pressure", "--dim", "four"],
+        ["pressure", "--bogus"],
+        [],
         ["pressure", "--output", "/nonexistent-casimir-dir/x.csv"],
     ]
     for argv in cases:
@@ -759,6 +826,26 @@ def test_usage_errors_exit_2(capsys):
         assert code == 2, argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
     assert "--output" in err
+
+
+_ARGV_TOKENS = st.sampled_from([
+    "pressure", "profile", "fluctuations", "sweep", "--dim", "--dims", "--length", "--theory",
+    "--bc", "--samples", "--subtracted", "--format", "--quick", "--bogus", "-", "--",
+    "maxwell", "scalar-canonical", "scalar-improved", "metallic", "mit", "dirichlet", "neumann",
+    "csv", "json", "xml", "2:6", "9:5", "four", "1e3", "0.37", "1e-12", "5e-324", "nan", "-1",
+]) | st.integers(min_value=-3, max_value=3000).map(str)
+
+
+@given(argv=st.lists(_ARGV_TOKENS, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_every_argv_exits_0_or_with_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2), (argv, err.getvalue())
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+        assert out.getvalue() == ""
 
 
 def test_cli_import_does_not_load_numpy():
