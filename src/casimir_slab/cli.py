@@ -9,23 +9,22 @@ fluctuations  squared field-strength fluctuations on a z grid
 sweep         global quantities across a range of dimensions
 verify        run the oracle consistency suite; exit 1 on any failure
 
-Exit codes: 0 success, 1 verification failure, 2 usage error (one stderr
-line, argparse's errors included). Identical configurations produce
-byte-identical output. All numbers are printed with 12 significant
-digits; lengths enter every result only through exact powers, so
-rescaling --length never changes the digits in an unpredictable way.
+Exit codes: 0 success, 1 verification failure, 2 usage or write error (one
+stderr line, argparse's errors included). Identical configurations produce
+byte-identical output. All numbers are printed with 12 significant digits;
+lengths enter every result only through exact powers, so rescaling
+--length never changes the digits in an unpredictable way.
 """
 
 from __future__ import annotations
 
 import argparse
-import codecs
 import os
 import re
 import sys
 from bisect import bisect_left
 from functools import partial
-from itertools import chain, islice, zip_longest
+from itertools import chain, islice
 from operator import add, eq, neg
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
@@ -112,20 +111,20 @@ def _column_texts(columns: Iterable[Sequence], fmt: str) -> list[list[str]]:
 
 
 def _write_table(
-    out: TextIO, config: dict[str, object], columns: list[str], texts: Iterable[str], fmt: str
+    out: TextIO, config: dict[str, object], columns: list[str], spills: Iterable[TextIO], fmt: str
 ) -> None:
     """Write a table as CSV, or as json.dumps({config, columns, rows}, indent=2) + "\n".
 
-    texts is the rows' text as _range_texts renders it, in pieces split
-    anywhere; the first is empty only if there are no rows. Floats print
-    with 12 significant digits: f"{v:.11e}" in CSV, and in JSON the repr
-    of that rounded value; any other cell prints as str in CSV and as
-    json.dumps in JSON. The rows are not handed to json.dumps because
-    with indent it uses its pure-Python encoder, which costs more than
-    evaluating a large grid.
+    spills hold the rows' text as _write_range writes it, split across them
+    at block boundaries and each read from its current position in 64 KiB
+    pieces. Floats print with 12 significant digits: f"{v:.11e}" in CSV, and
+    in JSON the repr of that rounded value; any other cell prints as str in
+    CSV and as json.dumps in JSON. The rows are not handed to json.dumps
+    because with indent it uses its pure-Python encoder, which costs more
+    than evaluating a large grid.
     """
-    texts = iter(texts)
-    first = next(texts, "")
+    texts = chain.from_iterable(iter(partial(spill.read, 1 << 16), "") for spill in spills)
+    first = next(texts, "")  # empty only if there are no rows
     if fmt == "json":
         import json
         head = json.dumps({"config": config, "columns": columns}, indent=2)
@@ -139,17 +138,17 @@ def _write_table(
     out.write(tail)
 
 
-def _range_texts(table: tuple, first: int, last: int, fmt: str) -> list[str]:
-    # The text of the blocks first..last-1 of the table, each a run of at most
-    # _BLOCK_ROWS points, and each but block 0 after a row separator.
+def _write_range(out: TextIO, table: tuple, first: int, last: int, fmt: str) -> None:
+    # Write the text of the blocks first..last-1 of the table to out, each
+    # block a run of at most _BLOCK_ROWS points as soon as it is made, and
+    # each but block 0 after a row separator.
     cell_sep, row_open, row_close, row_sep = _LAYOUT[fmt]
     grid = islice(table[0](), first * _BLOCK_ROWS, last * _BLOCK_ROWS)
-    texts = []
+    sep = row_sep * (first > 0)
     while zs := tuple(islice(grid, _BLOCK_ROWS)):
         lines = map(cell_sep.join, zip(*_column_texts(table[2](zs), fmt)))
-        sep = row_sep * (first + len(texts) > 0)
-        texts.append(sep + row_open + (row_close + row_sep + row_open).join(lines) + row_close)
-    return texts
+        out.write(sep + row_open + (row_close + row_sep + row_open).join(lines) + row_close)
+        sep = row_sep
 
 
 def _rows_table(rows: list[tuple]) -> tuple:
@@ -170,22 +169,15 @@ def _processes(blocks: int) -> int:
     return max(1, min(blocks, cpus))
 
 
-def _fork(table: tuple, first: int, last: int, fmt: str) -> tuple[int, int]:
-    # (pid, read end of its pipe) of a worker that writes "\1" and then the text
-    # of blocks first..last-1 to the pipe. The worker stops before its next
-    # block once this process is gone, as no one would read its text.
+def _fork(table: tuple, first: int, last: int, fmt: str, spill: TextIO) -> int:
+    # The pid of a worker that writes the text of blocks first..last-1 to
+    # spill and exits with 0 once all of it is there. The worker stops before
+    # its next block once this process is gone, as no one would read its text.
     parent = os.getpid()
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:  # the worker; it leaves only here, with 0 once all is written
+    pid = os.fork()
+    if pid == 0:  # the worker; it leaves only here
         code = 1
         try:
-            os.close(read)
             grid, points, columns = table
 
             def parented_columns(zs: tuple) -> Iterable[Sequence]:
@@ -193,36 +185,12 @@ def _fork(table: tuple, first: int, last: int, fmt: str) -> tuple[int, int]:
                     os._exit(1)
                 return columns(zs)
 
-            texts = _range_texts((grid, points, parented_columns), first, last, fmt)
-            with open(write, "w", encoding="utf-8", newline="") as pipe:
-                pipe.write("\1")
-                pipe.writelines(texts)
+            _write_range(spill, (grid, points, parented_columns), first, last, fmt)
+            spill.flush()  # os._exit drops what a buffer still holds
             code = 0
         finally:
             os._exit(code)
-    os.close(write)
-    return pid, read
-
-
-def _reap(pid: int, live: dict[int, int]) -> bool:
-    # Close a worker's pipe and wait for it; True if it wrote all its text.
-    os.close(live.pop(pid))
-    return os.waitpid(pid, 0)[1] == 0
-
-
-def _stream(
-    table: tuple, first: int, last: int, fmt: str, pid: int, live: dict[int, int]
-) -> Iterator[str]:
-    # A worker's text from its pipe, in 64 KiB pieces; if the worker dies
-    # before the end, the rest comes from evaluating its range here.
-    decode = codecs.getincrementaldecoder("utf-8")().decode
-    copied = 0
-    while data := os.read(live[pid], 1 << 16):
-        text = decode(data)
-        copied += len(text)
-        yield text
-    if not _reap(pid, live):
-        yield "".join(_range_texts(table, first, last, fmt))[copied:]
+    return pid
 
 
 def _render(
@@ -236,43 +204,71 @@ def _render(
     no float.
 
     The blocks are cut into one contiguous range per process: this one
-    evaluates the first, a forked worker each other one. A range whose
-    worker fails is evaluated here, which raises what one process raises.
-    Nothing is written before every range is evaluated, so an error leaves
-    stdout empty and creates no file.
+    evaluates the first, a forked worker each other one. Each range has its
+    own unlinked temporary file, and each block's text goes into it as soon
+    as the block is made, so no process holds more than one block; the
+    whole table's text sits in the temporary directory until it is copied
+    out. A range whose worker fails is evaluated here again, which raises
+    what one process raises. Nothing is written before every range is
+    evaluated, so an error leaves stdout empty and creates no file. A
+    temporary file that cannot be made or filled, and a write to stdout
+    that fails, raise UsageError.
     """
+    import tempfile  # here, as json and signal are, so that importing the CLI never loads it
+
     blocks = -(-table[1] // _BLOCK_ROWS)
     n = _processes(blocks)
     cuts = [blocks * i // n for i in range(n + 1)]
-    ranges = list(zip(cuts[1:], cuts[2:]))
-    live: dict[int, int] = {}  # worker pid -> read end of its pipe, until reaped
+    spills: list[TextIO] = []
+    workers: dict[int, int] = {}  # range index -> pid of its worker, until reaped
     try:
-        for first, last in ranges:
-            try:
-                pid, fd = _fork(table, first, last, fmt)
-            except OSError:
-                break
-            live[pid] = fd
-        parts = [_range_texts(table, 0, cuts[1], fmt)]
-        for (first, last), pid in zip_longest(ranges, list(live)):
-            if pid and os.read(live[pid], 1) == b"\1":
-                parts.append(_stream(table, first, last, fmt, pid, live))
-            else:
-                parts.append(_range_texts(table, first, last, fmt))
+        try:
+            for _ in range(n):
+                spills.append(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
+            for i in range(1, n):
+                try:
+                    workers[i] = _fork(table, cuts[i], cuts[i + 1], fmt, spills[i])
+                except OSError:
+                    break
+            _write_range(spills[0], table, 0, cuts[1], fmt)
+            for i in range(1, n):
+                failed = i not in workers or os.waitpid(workers[i], 0)[1] != 0
+                workers.pop(i, None)
+                if failed:  # what the worker wrote is a prefix of this text
+                    spills[i].seek(0)
+                    _write_range(spills[i], table, cuts[i], cuts[i + 1], fmt)
+            for spill in spills:
+                spill.seek(0)  # which flushes what this process wrote
+        except OSError as exc:
+            raise UsageError(f"temporary file: {exc}") from exc
         if output is None:
-            _write_table(sys.stdout, config, columns, chain(*parts), fmt)
+            try:
+                _write_table(sys.stdout, config, columns, spills, fmt)
+                sys.stdout.flush()
+            except OSError as exc:
+                # The interpreter flushes stdout again at exit, which would
+                # fail again and print a traceback; let that flush go nowhere.
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+                raise UsageError(f"stdout: {exc}") from exc
             return
         try:
             with open(output, "w", newline="") as handle:
-                _write_table(handle, config, columns, chain(*parts), fmt)
+                _write_table(handle, config, columns, spills, fmt)
         except OSError as exc:
             raise UsageError(f"--output: {exc}") from exc
     finally:
-        if live:
+        for spill in spills:
+            try:
+                spill.close()
+            except OSError:
+                pass  # its flush failed again, on text that is being dropped
+        if workers:
             import signal
-            for pid in list(live):
+            for pid in workers.values():
                 os.kill(pid, signal.SIGKILL)
-                _reap(pid, live)
+                os.waitpid(pid, 0)
 
 
 _THEORY_KINDS = {k.value: k for k in TheoryKind}

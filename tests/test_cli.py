@@ -10,6 +10,7 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from importlib import resources
 from unittest import mock
@@ -421,15 +422,18 @@ _FLOATS = (
 
 def _table_text(config, columns, rows, fmt):
     # As the CLI renders a table: blocks of cli._BLOCK_ROWS rows, each turned
-    # into text; the texts of the first half of the blocks as one process
-    # keeps them and those of the rest joined, as a worker sends them; then
-    # written.
+    # into text; the first half of the blocks written to one file, as the CLI
+    # process writes its range, and the rest to another, as a worker does;
+    # then both copied out by the writer.
     table = cli._rows_table(rows)
     blocks = -(-len(rows) // cli._BLOCK_ROWS)
-    texts = cli._range_texts(table, 0, blocks // 2, fmt)
-    texts.append("".join(cli._range_texts(table, blocks // 2, blocks, fmt)))
+    spills = [io.StringIO(), io.StringIO()]
+    cli._write_range(spills[0], table, 0, blocks // 2, fmt)
+    cli._write_range(spills[1], table, blocks // 2, blocks, fmt)
+    for spill in spills:
+        spill.seek(0)
     out = io.StringIO()
-    cli._write_table(out, config, columns, texts, fmt)
+    cli._write_table(out, config, columns, spills, fmt)
     return out.getvalue()
 
 
@@ -689,7 +693,7 @@ def test_failed_workers_change_no_byte(capsys, monkeypatch, tmp_path, fault):
     path.unlink()
     fds = _open_fds()
     parent = os.getpid()
-    real_range_texts = cli._range_texts
+    real_write_range = cli._write_range
     with monkeypatch.context() as patch:
         _set_cpus(patch, 4)
         fail_at = None
@@ -702,20 +706,23 @@ def test_failed_workers_change_no_byte(capsys, monkeypatch, tmp_path, fault):
 
             patch.setattr(os, "fork", no_fork)
         elif fault == "killed-while-writing":
-            def range_texts(*args):
-                texts = real_range_texts(*args)
-                if os.getpid() == parent:
-                    return texts
+            class DiesHalfway:
+                # Half the first block's text reaches the worker's file,
+                # flushed past every buffer, before the worker dies.
+                def __init__(self, spill):
+                    self.spill = spill
 
-                def die_halfway():
-                    # Half a block's text is more than the writer buffers, so
-                    # part of the range reaches the pipe before the worker dies.
-                    yield texts[0][: len(texts[0]) // 2]
+                def write(self, text):
+                    self.spill.write(text[: len(text) // 2])
+                    self.spill.flush()
                     os.kill(os.getpid(), signal.SIGKILL)
 
-                return die_halfway()
+            def write_range(spill, *args):
+                if os.getpid() != parent:
+                    spill = DiesHalfway(spill)
+                real_write_range(spill, *args)
 
-            patch.setattr(cli, "_range_texts", range_texts)
+            patch.setattr(cli, "_write_range", write_range)
         _spy_kernels(patch, log, fail_at=fail_at, worker_fault=worker_fault)
         code, out, err = run_cli(capsys, *argv)
         calls = _kernel_calls(log)
@@ -745,8 +752,8 @@ def _process_gone(pid):
 def test_a_worker_stops_once_its_cli_process_is_killed(monkeypatch, tmp_path):
     # Each block sleeps; the CLI process, forked from this one, is killed as
     # soon as its worker has started on its 20 blocks. The worker must stop
-    # within a couple of blocks, not compute its whole range and then die on
-    # the closed pipe.
+    # within a couple of blocks, not compute its whole range into a file no
+    # one will read.
     samples = 40 * cli._BLOCK_ROWS
     log = tmp_path / "calls"
     log.write_text("")
@@ -777,6 +784,112 @@ def test_a_worker_stops_once_its_cli_process_is_killed(monkeypatch, tmp_path):
     calls += _kernel_calls(log)
     assert 1 <= len([pid for pid, _ in calls if pid == worker]) <= 3
     _assert_no_child_left()
+
+
+@pytest.mark.parametrize("spill", ["missing-dir", "full-here", "full-in-worker"])
+def test_a_temporary_file_that_fails_exits_2(capsys, monkeypatch, tmp_path, spill):
+    # An unusable temporary directory, or a full file in this process or in a
+    # worker, whose range this process then evaluates again into the same
+    # full file: one error line, empty stdout, no output file.
+    samples = cli._BLOCK_ROWS + 1
+    grid_argv = _grid_argv("profile", 22, 1.0, "maxwell", "metallic", samples)
+    path = tmp_path / "table.out"
+    log = tmp_path / "calls"
+    log.write_text("")
+    fds = _open_fds()
+    real_temporary_file = tempfile.TemporaryFile
+    opened = []
+
+    def temporary_file(*args, **kw):
+        opened.append(None)
+        if len(opened) == (2 if spill == "full-in-worker" else 1):
+            return open("/dev/full", *args, **kw)
+        return real_temporary_file(*args, **kw)
+
+    with monkeypatch.context() as patch:
+        if spill == "missing-dir":
+            patch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        else:
+            patch.setattr(tempfile, "TemporaryFile", temporary_file)
+        _spy_kernels(patch, log)
+        _set_cpus(patch, 2)
+        argvs = [grid_argv, ["pressure", "--dim", "22"]]
+        for argv in argvs[: 1 if spill == "full-in-worker" else 2]:
+            for extra in ([], ["--format", "json"], ["--output", str(path)]):
+                opened.clear()
+                code, out, err = run_cli(capsys, *argv, *extra)
+                assert (code, out) == (2, ""), (argv, extra)
+                assert err.startswith("error: temporary file: ") and err.count("\n") == 1, err
+                assert not path.exists()
+                _assert_no_child_left()
+                assert _open_fds() == fds
+    calls = _kernel_calls(log)
+    if spill == "full-in-worker":
+        # each time, the worker met the full file and this process both blocks
+        assert len([pid for pid, _ in calls if pid == os.getpid()]) == 2 * 3
+        assert len([pid for pid, _ in calls if pid != os.getpid()]) == 3
+
+
+@pytest.mark.parametrize("samples", ["64", "3000"])
+@pytest.mark.parametrize("stdout", ["closed-pipe", "full-device"])
+def test_a_failed_write_to_stdout_exits_2(stdout, samples):
+    # As `| head -c 10` leaves it, or a full disk: one error line and no
+    # traceback, also not from the interpreter's own flush at exit, both for
+    # a table that fills stdout's buffer and for one that fits in it.
+    if stdout == "closed-pipe":
+        read, target = os.pipe()
+        os.close(read)
+    else:
+        target = os.open("/dev/full", os.O_WRONLY)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # buffered stdout
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "casimir_slab", "profile", "--samples", samples],
+            stdout=target, stderr=subprocess.PIPE, text=True, timeout=60,
+            env={**env, "PYTHONPATH": src},
+        )
+    finally:
+        os.close(target)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: stdout: [Errno ") and proc.stderr.count("\n") == 1, (
+        proc.stderr
+    )
+
+
+# Prints the peak memory (kB on Linux) of a CLI process and its workers. The
+# CLI process is forked from a fresh interpreter: on Linux a process started
+# by exec inherits the peak of the one that started it, here pytest's.
+_PEAK_PROBE = """
+import os, resource, sys
+from casimir_slab import cli
+os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))
+argv = ["profile", "--dim", "22", "--format", "json", "--samples", sys.argv[2]]
+pid = os.fork()
+if pid == 0:
+    os._exit(cli.main(argv + ["--output", os.devnull]))
+assert os.waitpid(pid, 0)[1] == 0
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_a_large_grid_takes_no_more_memory_than_a_small_one():
+    # A 2e5-row grid may take only about 4 MB more than a 64-row one, with a
+    # worker and in one process; a process that kept the text of its range
+    # would take about 0.14 kB more a row.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+
+    def peak_kb(cpus, samples):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_PROBE, str(cpus), str(samples)],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout)
+
+    small = peak_kb(1, 64)
+    for cpus in (2, 1):
+        assert peak_kb(cpus, 200_000) - small < 4 * 1024, cpus
 
 
 def test_json_output_validates_against_shipped_schema(capsys):
