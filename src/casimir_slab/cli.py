@@ -193,6 +193,21 @@ def _fork(table: tuple, first: int, last: int, fmt: str, spill: TextIO) -> int:
     return pid
 
 
+def _to_stdout(write: Callable[[TextIO], None]) -> None:
+    # write(sys.stdout), then flush it, so that a failed write raises
+    # UsageError here rather than failing the interpreter's flush at exit.
+    try:
+        write(sys.stdout)
+        sys.stdout.flush()
+    except OSError as exc:
+        # The interpreter flushes stdout again at exit, which would fail
+        # again and print a traceback; let that flush go nowhere.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise UsageError(f"stdout: {exc}") from exc
+
+
 def _render(
     config: dict[str, object], columns: list[str], table: tuple, fmt: str, output: str | None
 ) -> None:
@@ -242,16 +257,7 @@ def _render(
         except OSError as exc:
             raise UsageError(f"temporary file: {exc}") from exc
         if output is None:
-            try:
-                _write_table(sys.stdout, config, columns, spills, fmt)
-                sys.stdout.flush()
-            except OSError as exc:
-                # The interpreter flushes stdout again at exit, which would
-                # fail again and print a traceback; let that flush go nowhere.
-                devnull = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(devnull, sys.stdout.fileno())
-                os.close(devnull)
-                raise UsageError(f"stdout: {exc}") from exc
+            _to_stdout(lambda out: _write_table(out, config, columns, spills, fmt))
             return
         try:
             with open(output, "w", newline="") as handle:
@@ -470,6 +476,14 @@ class _Parser(argparse.ArgumentParser):
     # is a one-line UsageError instead of a usage text and a SystemExit.
     def error(self, message: str) -> NoReturn:
         raise UsageError(message)
+
+    # -h writes the usage as a table is written, so that a failed write is
+    # one UsageError line too.
+    def print_help(self, file: TextIO | None = None) -> None:
+        if file is None:
+            _to_stdout(super().print_help)
+        else:
+            super().print_help(file)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -15,13 +15,15 @@ so callers never handle metric signs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from operator import add
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from . import specfun
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    from .records import FieldFluctuations
 
 __all__ = [
     "ScalarBC",
@@ -55,6 +57,7 @@ __all__ = [
 
 _MIN_DIM = 2
 _MAX_DIM = 24  # series/Bernoulli tails are validated in this range only
+_DIMS = range(_MIN_DIM, _MAX_DIM + 1)
 
 
 class ScalarBC(Enum):
@@ -86,8 +89,38 @@ class TheoryKind(Enum):
     MAXWELL = "maxwell"
 
 
-@dataclass(frozen=True)
-class Theory:
+class _Value:
+    # A small immutable value whose fields are its __slots__. It compares,
+    # hashes, prints and pickles as the tuple of its fields, as a frozen
+    # dataclass does, without importing dataclasses at start-up.
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._fields()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Theory(_Value):
     """Field content plus the stress tensor convention to evaluate.
 
     The improved scalar differs from the canonical one only by the
@@ -95,15 +128,18 @@ class Theory:
     changes the local energy distribution but never the force.
     """
 
+    __match_args__ = __slots__ = ("kind", "bc")
     kind: TheoryKind
     bc: ScalarBC | EmBC
 
-    def __post_init__(self) -> None:
-        if self.kind is TheoryKind.MAXWELL:
-            if not isinstance(self.bc, EmBC):
+    def __init__(self, kind: TheoryKind, bc: ScalarBC | EmBC) -> None:
+        if kind is TheoryKind.MAXWELL:
+            if not isinstance(bc, EmBC):
                 raise ValueError("Maxwell theory requires an EmBC boundary condition")
-        elif not isinstance(self.bc, ScalarBC):
+        elif not isinstance(bc, ScalarBC):
             raise ValueError("scalar theories require a ScalarBC boundary condition")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "bc", bc)
 
     @property
     def scalar_bc(self) -> ScalarBC:
@@ -113,82 +149,33 @@ class Theory:
         return self.bc
 
 
-@dataclass(frozen=True)
-class Spacetime:
+def _check_dim(dim_D: int) -> int:
+    # dim_D as an int, which every lookup by dimension needs; a float or a
+    # numpy integer is in the range if it equals one of its ints.
+    if dim_D not in _DIMS:
+        raise ValueError(f"dim_D must be an integer in [{_MIN_DIM}, {_MAX_DIM}], got {dim_D}")
+    return int(dim_D)
+
+
+class Spacetime(_Value):
     """Slab geometry: spacetime dimension D and plate separation L."""
 
+    __match_args__ = __slots__ = ("dim_D", "plate_gap_L")
     dim_D: int
-    plate_gap_L: float = 1.0
+    plate_gap_L: float
 
-    def __post_init__(self) -> None:
-        if self.dim_D != int(self.dim_D) or not _MIN_DIM <= self.dim_D <= _MAX_DIM:
-            raise ValueError(
-                f"dim_D must be an integer in [{_MIN_DIM}, {_MAX_DIM}], got {self.dim_D}"
-            )
-        if not (math.isfinite(self.plate_gap_L) and self.plate_gap_L > 0.0):
-            raise ValueError(f"plate_gap_L must be positive, got {self.plate_gap_L}")
-
-
-@dataclass(frozen=True)
-class StressTensor:
-    """Diagonal stress-tensor values at one point.
-
-    t00: energy density. tzz: pressure normal to the plates.
-    t_transverse: common value of the diagonal components along the
-    plate directions. trace: t00 - (D-2) t_transverse - tzz.
-    """
-
-    t00: float
-    tzz: float
-    t_transverse: float
-    trace: float
+    def __init__(self, dim_D: int, plate_gap_L: float = 1.0) -> None:
+        dim_D = _check_dim(dim_D)
+        if not (math.isfinite(plate_gap_L) and plate_gap_L > 0.0):
+            raise ValueError(f"plate_gap_L must be positive, got {plate_gap_L}")
+        object.__setattr__(self, "dim_D", dim_D)
+        object.__setattr__(self, "plate_gap_L", plate_gap_L)
 
 
 class Region(Enum):
     LEFT_EXTERIOR = "left-exterior"
     INTERIOR = "interior"
     RIGHT_EXTERIOR = "right-exterior"
-
-
-@dataclass(frozen=True)
-class ProfileSample:
-    z: float
-    region: Region
-    tensor: StressTensor
-
-
-@dataclass(frozen=True)
-class Profile:
-    """Stress tensor sampled on a strictly increasing z grid."""
-
-    spacetime: Spacetime
-    theory: Theory
-    samples: tuple[ProfileSample, ...]
-
-    def __post_init__(self) -> None:
-        zs = [s.z for s in self.samples]
-        if any(b <= a for a, b in zip(zs, zs[1:])):
-            raise ValueError("profile samples must be strictly increasing in z")
-        length = self.spacetime.plate_gap_L
-        for s in self.samples:
-            if s.region is Region.INTERIOR and not 0.0 < s.z < length:
-                raise ValueError(f"interior sample at z={s.z} outside (0, L)")
-
-
-@dataclass(frozen=True)
-class FieldFluctuations:
-    """Squared field-strength fluctuations at one point between plates.
-
-    ez2: normal electric component. ei2: one transverse electric
-    component (no sum). biz2: one magnetic component with a normal
-    index. bij2: one purely transverse magnetic component (0 when D = 3,
-    where no transverse pair exists).
-    """
-
-    ez2: float
-    ei2: float
-    biz2: float
-    bij2: float
 
 
 # (gamma(D/2), (4 pi)^(D/2), zeta(D)) for D = _MIN_DIM .. _MAX_DIM,
@@ -199,7 +186,7 @@ _AMPLITUDE_TABLE = tuple(
         (4.0 * math.pi) ** (dim / 2.0),
         specfun.riemann_zeta(float(dim)),
     )
-    for dim in range(_MIN_DIM, _MAX_DIM + 1)
+    for dim in _DIMS
 )
 
 
@@ -375,19 +362,6 @@ def scalar_energy_density(st: Spacetime, bc: ScalarBC, z: float) -> float:
     return scalar_stress_rows(st, bc, (z,))[0][0]
 
 
-def scalar_stress(
-    st: Spacetime, bc: ScalarBC, z: float, improved: bool = False
-) -> StressTensor:
-    """Scalar stress tensor at 0 < z < L (massless field).
-
-    Canonical: t00 is the z-dependent local density, tzz = (D-1) e0 is
-    position independent. Improved: the traceless tensor, with constant
-    t00 = e0, t_transverse = -e0, tzz = (D-1) e0. At D = 2 the two
-    coincide because the improvement coefficient vanishes.
-    """
-    return StressTensor(*scalar_stress_rows(st, bc, (z,), improved)[0])
-
-
 def em_fluctuations_rows(st: Spacetime, bc: EmBC, grid: Iterable[float]) -> list[tuple]:
     """em_fluctuations as rows (ez2, ei2, biz2, bij2) on a grid of 0 < z < L."""
     dim = st.dim_D
@@ -406,21 +380,6 @@ def em_fluctuations_rows(st: Spacetime, bc: EmBC, grid: Iterable[float]) -> list
             raise DomainError(_OVERFLOW.format(dim))
         rows.append((ez2, ei2, -ez2, -ei2 if dim > 3 else 0.0))
     return rows
-
-
-def em_fluctuations(st: Spacetime, bc: EmBC, z: float) -> FieldFluctuations:
-    """Squared electric/magnetic fluctuations between the plates, D >= 3.
-
-    With the common scale A = gamma(D/2)/((4 pi)^(D/2) L^D) and the
-    profile f = f(z/L), metallic walls give
-
-        ez2 = (D-2) A [zeta(D) + f/2],   ei2 = -2 A [zeta(D) - f/2],
-
-    and the dual (MIT) condition flips the sign of the f terms. The
-    magnetic entries follow from duality: biz2 = -ez2, bij2 = -ei2
-    (bij2 is reported as 0 at D = 3 where no transverse pair exists).
-    """
-    return FieldFluctuations(*em_fluctuations_rows(st, bc, (z,))[0])
 
 
 def field_invariant(fl: FieldFluctuations, dim_D: int) -> float:
@@ -447,37 +406,19 @@ def em_stress_rows(st: Spacetime, bc: EmBC, grid: Iterable[float]) -> list[tuple
     return _stress_rows(st, bc, grid, st.dim_D - 2, st.dim_D / 2.0 - 2.0)
 
 
-def em_stress(st: Spacetime, bc: EmBC, z: float) -> StressTensor:
-    """Maxwell stress tensor between the plates, D >= 3.
-
-    t00 = -(D-2) A [zeta(D) +/- (D/2 - 2) f(z/L)] (upper sign metallic),
-    tzz = (D-2)(D-1) e0 independent of z. The position-dependent term
-    carries the coefficient D/2 - 2, which vanishes exactly at D = 4:
-    the conformal case with a constant energy density.
-    """
-    return StressTensor(*em_stress_rows(st, bc, (z,))[0])
-
-
-def single_plate_stress(dim_D: int, bc: EmBC, z: float) -> StressTensor:
-    """Maxwell stress induced by one plate at z = 0, evaluated at z != 0.
-
-    The infinite-separation limit of the two-plate tensor: tzz vanishes
-    on both sides, and the remaining components fall off as |z|^-D with
-    coefficient -(D-2)(D/2-2) gamma(D/2)/(4 pi)^(D/2) for metallic walls
-    (sign reversed for MIT). Identically zero at D = 4.
-    """
-    if not _MIN_DIM <= dim_D <= _MAX_DIM or dim_D != int(dim_D):
-        raise ValueError(f"dim_D must be an integer in [{_MIN_DIM}, {_MAX_DIM}]")
-    if dim_D < 3:
+def _single_plate_row(dim_D: int, bc: EmBC, z: float) -> tuple[float, float, float, float]:
+    # single_plate_stress as a row (t00, tzz, t_transverse, trace).
+    dim = _check_dim(dim_D)
+    if dim < 3:
         raise DomainError("single_plate_stress: Maxwell needs D >= 3")
     if z == 0.0:
         raise DomainError("single_plate_stress: on-plate point z=0")
-    coef = dim_D / 2.0 - 2.0
+    coef = dim / 2.0 - 2.0
     if coef == 0.0:
-        return StressTensor(0.0, 0.0, 0.0, 0.0)
-    scale, _ = _amplitude(dim_D, abs(z))
-    t00 = -_bc_sign(bc) * (dim_D - 2) * coef * scale
-    return StressTensor(*_stress_row(dim_D, t00, 0.0))
+        return (0.0, 0.0, 0.0, 0.0)
+    scale, _ = _amplitude(dim, abs(z))
+    t00 = -_bc_sign(bc) * (dim - 2) * coef * scale
+    return _stress_row(dim, t00, 0.0)
 
 
 def f_tilde(st: Spacetime, x: float) -> float:
@@ -533,20 +474,22 @@ def subtracted_rows(st: Spacetime, bc: EmBC, grid: Iterable[float]) -> list[tupl
     return rows
 
 
-def subtracted_profile(st: Spacetime, bc: EmBC, z_grid: Iterable[float]) -> Profile:
-    """Everywhere-finite Maxwell stress profile, plate self-energies removed.
+# The result records and the views that build them live in records, which
+# imports dataclasses; each loads on first use, so the CLI never loads them.
+_RECORDS = frozenset({
+    "StressTensor", "FieldFluctuations", "ProfileSample", "Profile",
+    "em_stress", "scalar_stress", "em_fluctuations", "single_plate_stress", "subtracted_profile",
+})
 
-    Subtracting from the two-plate tensor the single-plate |z|^-D tails
-    of both plates (both sides each) leaves a piecewise expression that
-    is finite for all z: the interior bracket uses the subtracted
-    profile function, the exterior branches are pure power laws with
-    zero pressure. Grid points may lie outside the slab but must avoid
-    z = 0 and z = L exactly, where the branch assignment is ambiguous;
-    probe the two one-sided limits instead.
-    """
-    samples = tuple(
-        ProfileSample(z, region, StressTensor(*tensor))
-        for z, *tensor, region in subtracted_rows(st, bc, z_grid)
-    )
-    theory = Theory(TheoryKind.MAXWELL, bc)
-    return Profile(spacetime=st, theory=theory, samples=samples)
+
+def __getattr__(name: str) -> object:
+    if name not in _RECORDS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import records
+
+    value = globals()[name] = getattr(records, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_RECORDS})

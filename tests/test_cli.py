@@ -830,31 +830,63 @@ def test_a_temporary_file_that_fails_exits_2(capsys, monkeypatch, tmp_path, spil
         assert len([pid for pid, _ in calls if pid != os.getpid()]) == 3
 
 
-@pytest.mark.parametrize("samples", ["64", "3000"])
-@pytest.mark.parametrize("stdout", ["closed-pipe", "full-device"])
-def test_a_failed_write_to_stdout_exits_2(stdout, samples):
-    # As `| head -c 10` leaves it, or a full disk: one error line and no
-    # traceback, also not from the interpreter's own flush at exit, both for
-    # a table that fills stdout's buffer and for one that fits in it.
+def _cli_into(stdout, argv):
+    # Runs the CLI in a subprocess with buffered stdout into a pipe whose read
+    # end is closed, as `| head -c 10` leaves it, or into /dev/full, a full
+    # disk; or, for any other stdout, into a pipe read to its end.
     if stdout == "closed-pipe":
         read, target = os.pipe()
         os.close(read)
-    else:
+    elif stdout == "full-device":
         target = os.open("/dev/full", os.O_WRONLY)
+    else:
+        target = subprocess.PIPE
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # buffered stdout
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "casimir_slab", "profile", "--samples", samples],
+        return subprocess.run(
+            [sys.executable, "-m", "casimir_slab", *argv],
             stdout=target, stderr=subprocess.PIPE, text=True, timeout=60,
-            env={**env, "PYTHONPATH": src},
+            env={**env, "PYTHONPATH": src, "COLUMNS": "80"},
         )
     finally:
-        os.close(target)
+        if target != subprocess.PIPE:
+            os.close(target)
+
+
+@pytest.mark.parametrize("samples", ["64", "3000"])
+@pytest.mark.parametrize("stdout", ["closed-pipe", "full-device"])
+def test_a_failed_write_to_stdout_exits_2(stdout, samples):
+    # One error line and no traceback, also not from the interpreter's own
+    # flush at exit, both for a table that fills stdout's buffer and for one
+    # that fits in it.
+    proc = _cli_into(stdout, ["profile", "--samples", samples])
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: stdout: [Errno ") and proc.stderr.count("\n") == 1, (
         proc.stderr
     )
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["profile", "-h"]], ids=["--help", "profile-h"])
+@pytest.mark.parametrize("stdout", ["closed-pipe", "full-device", "pipe"])
+def test_help_exits_0_or_with_one_error_line(monkeypatch, stdout, argv):
+    # The usage is written and flushed as a table is: in full with exit 0, or
+    # one error line and exit 2, never a traceback or argparse's exit 0 followed
+    # by a failed flush at exit.
+    proc = _cli_into(stdout, argv)
+    if stdout == "pipe":
+        monkeypatch.setenv("COLUMNS", "80")
+        usage = io.StringIO()
+        with contextlib.redirect_stdout(usage), pytest.raises(SystemExit) as exited:
+            cli.main(argv)
+        assert exited.value.code == 0
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == usage.getvalue() and proc.stdout.startswith("usage: casimir-slab")
+    else:
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: stdout: [Errno ") and proc.stderr.count("\n") == 1, (
+            proc.stderr
+        )
 
 
 # Prints the peak memory (kB on Linux) of a CLI process and its workers. The
@@ -983,6 +1015,35 @@ def test_cli_import_does_not_load_numpy():
     assert lines[0] == "[]"  # after the import
     assert lines[-1] == "[]"  # after writing a CSV profile
     assert len(lines) > 60  # the profile was written
+
+
+# Runs pressure, sweep and a 2-block profile, which forks a worker, and prints
+# which start-up-heavy modules are loaded after the import and after the runs.
+_STARTUP_PROBE = """
+import os, sys
+from casimir_slab import cli
+heavy = {"dataclasses", "inspect", "casimir_slab.records"}
+print(sorted(heavy & set(sys.modules)))
+os.sched_getaffinity = lambda pid: {0, 1}
+fork, forks = os.fork, []
+os.fork = lambda: forks.append(fork()) or forks[-1]
+for argv in (["pressure"], ["sweep"], ["profile", "--dim", "7", "--samples", "2048"]):
+    for fmt in ("csv", "json"):
+        assert cli.main(argv + ["--format", fmt, "--output", os.devnull]) == 0
+print(sorted(heavy & set(sys.modules)), len(forks))
+"""
+
+
+def test_cli_never_loads_dataclasses_or_the_records():
+    # In a fresh interpreter, as pytest itself loads dataclasses; -S so that
+    # only what the package loads counts.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _STARTUP_PROBE],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[] 2"]
 
 
 def test_module_entry_point():

@@ -1,6 +1,8 @@
 """Core physics tests: energies, pressures, stress tensors, profiles."""
 
 import math
+import os
+import subprocess
 import sys
 from dataclasses import astuple
 from fractions import Fraction
@@ -46,6 +48,191 @@ def test_spacetime_validation():
         Spacetime(4, 0.0)
     with pytest.raises(ValueError):
         Spacetime(4, -1.0)
+
+
+def test_validation_messages():
+    for args, message in [
+        ((1, 1.0), "dim_D must be an integer in [2, 24], got 1"),
+        ((25,), "dim_D must be an integer in [2, 24], got 25"),
+        ((4.5, 1.0), "dim_D must be an integer in [2, 24], got 4.5"),
+        ((4, 0.0), "plate_gap_L must be positive, got 0.0"),
+        ((4, -1.0), "plate_gap_L must be positive, got -1.0"),
+        ((4, math.inf), "plate_gap_L must be positive, got inf"),
+        ((4, math.nan), "plate_gap_L must be positive, got nan"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            Spacetime(*args)
+        assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        Theory(TheoryKind.MAXWELL, ScalarBC.DIRICHLET)
+    assert str(info.value) == "Maxwell theory requires an EmBC boundary condition"
+    with pytest.raises(ValueError) as info:
+        Theory(TheoryKind.SCALAR_IMPROVED, EmBC.MIT)
+    assert str(info.value) == "scalar theories require a ScalarBC boundary condition"
+
+
+def test_spacetime_and_theory_are_values():
+    st = Spacetime(dim_D=6, plate_gap_L=2.5)  # keywords, as in the README example
+    assert (st.dim_D, st.plate_gap_L) == (6, 2.5)
+    assert Spacetime(dim_D=6).plate_gap_L == 1.0
+    assert Spacetime(6, plate_gap_L=2.5) == st
+    th = Theory(kind=TheoryKind.MAXWELL, bc=EmBC.MIT)
+    assert (th.kind, th.bc) == (TheoryKind.MAXWELL, EmBC.MIT)
+    assert Theory(TheoryKind.MAXWELL, bc=EmBC.MIT) == th
+
+    assert st == Spacetime(6, 2.5) and not st != Spacetime(6, 2.5)
+    assert st != Spacetime(6, 2.0) and st != Spacetime(7, 2.5)
+    assert th != Theory(TheoryKind.MAXWELL, EmBC.METALLIC)
+    assert th != Theory(TheoryKind.SCALAR_CANONICAL, ScalarBC.NEUMANN)
+    for other in ((6, 2.5), [6, 2.5], None, th):
+        assert st != other and not st == other
+    assert th != (TheoryKind.MAXWELL, EmBC.MIT)
+
+    assert hash(st) == hash((6, 2.5)) == hash(Spacetime(6, 2.5))
+    assert hash(th) == hash((TheoryKind.MAXWELL, EmBC.MIT))
+    assert len({st, Spacetime(6, 2.5), th, Theory(TheoryKind.MAXWELL, EmBC.MIT)}) == 2
+    assert repr(st) == "Spacetime(dim_D=6, plate_gap_L=2.5)"
+    assert repr(Spacetime(4)) == "Spacetime(dim_D=4, plate_gap_L=1.0)"
+    assert repr(th) == "Theory(kind=<TheoryKind.MAXWELL: 'maxwell'>, bc=<EmBC.MIT: 'mit'>)"
+    match st, th:
+        case Spacetime(6, length), Theory(TheoryKind.MAXWELL, bc):
+            assert (length, bc) == (2.5, EmBC.MIT)
+        case _:
+            raise AssertionError("no positional class pattern matched")
+
+
+def test_spacetime_and_theory_are_immutable():
+    st = Spacetime(6, 2.5)
+    th = Theory(TheoryKind.SCALAR_CANONICAL, ScalarBC.DIRICHLET)
+    for obj, name, value in [
+        (st, "dim_D", 7),
+        (st, "plate_gap_L", 1.0),
+        (st, "extra", 1),
+        (th, "kind", TheoryKind.SCALAR_IMPROVED),
+        (th, "bc", ScalarBC.NEUMANN),
+    ]:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, value)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert st == Spacetime(6, 2.5)
+    assert th == Theory(TheoryKind.SCALAR_CANONICAL, ScalarBC.DIRICHLET)
+
+
+def test_spacetime_and_theory_copy_and_pickle():
+    import copy
+    import pickle
+
+    for obj in (Spacetime(6, 2.5), Spacetime(24), Theory(TheoryKind.MAXWELL, EmBC.MIT)):
+        for twin in (
+            pickle.loads(pickle.dumps(obj)),
+            pickle.loads(pickle.dumps(obj, protocol=0)),
+            copy.copy(obj),
+            copy.deepcopy(obj),
+            copy.deepcopy([obj, obj])[1],
+        ):
+            assert type(twin) is type(obj)
+            assert twin == obj and hash(twin) == hash(obj) and repr(twin) == repr(obj)
+    th = copy.deepcopy(Theory(TheoryKind.MAXWELL, EmBC.MIT))
+    assert th.kind is TheoryKind.MAXWELL and th.bc is EmBC.MIT
+
+
+def _calls_on_dim(dim):
+    # (name, call) of every public function of core at the dimension dim.
+    st = Spacetime(dim, 0.8)
+    theories = (SCALAR_N, IMPROVED_D, MAXWELL_MIT)
+    zs = [0.05, 0.3, 0.79]
+    wide = [-0.5, *zs, 1.7]
+    fl = core.em_fluctuations(Spacetime(max(int(dim), 3), 0.8), EmBC.MIT, 0.3)
+    return [
+        ("base_energy_density", lambda: core.base_energy_density(st)),
+        ("total_energy_per_area", lambda: [core.total_energy_per_area(st, th) for th in theories]),
+        ("pressure", lambda: [core.pressure(st, th) for th in theories]),
+        ("f_profile", lambda: core.f_profile(st, 0.3)),
+        ("F_theta", lambda: core.F_theta(0.1 * dim)),
+        ("scalar_energy_density", lambda: core.scalar_energy_density(st, ScalarBC.NEUMANN, 0.3)),
+        ("scalar_stress", lambda: core.scalar_stress(st, ScalarBC.DIRICHLET, 0.3, True)),
+        ("scalar_stress_rows", lambda: core.scalar_stress_rows(st, ScalarBC.DIRICHLET, zs)),
+        ("em_fluctuations", lambda: core.em_fluctuations(st, EmBC.METALLIC, 0.3)),
+        ("em_fluctuations_rows", lambda: core.em_fluctuations_rows(st, EmBC.MIT, zs)),
+        ("em_stress", lambda: core.em_stress(st, EmBC.MIT, 0.3)),
+        ("em_stress_rows", lambda: core.em_stress_rows(st, EmBC.METALLIC, zs)),
+        ("single_plate_stress", lambda: core.single_plate_stress(dim, EmBC.METALLIC, -0.7)),
+        ("f_tilde", lambda: core.f_tilde(st, 0.3)),
+        ("subtracted_profile", lambda: core.subtracted_profile(st, EmBC.MIT, wide)),
+        ("subtracted_rows", lambda: core.subtracted_rows(st, EmBC.METALLIC, wide)),
+        ("field_invariant", lambda: core.field_invariant(fl, dim)),
+    ]
+
+
+def test_every_function_takes_an_integral_float_dimension():
+    # repr tells apart every pair of doubles with different bits, and int from float.
+    def outcome(call):
+        try:
+            return repr(call())
+        except (DomainError, ValueError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    public = {name for name in core.__all__ if not isinstance(getattr(core, name), type)}
+    for dim in range(2, 25):
+        assert Spacetime(float(dim)) == Spacetime(dim)
+        assert repr(Spacetime(float(dim)).dim_D) == repr(dim)
+        calls = _calls_on_dim(dim)
+        assert {name for name, _ in calls} == public
+        floats = {name: outcome(call) for name, call in _calls_on_dim(float(dim))}
+        for name, call in calls:
+            assert floats[name] == outcome(call), (dim, name)
+            assert dim < 3 or not floats[name].startswith(("DomainError", "ValueError"))
+
+
+# Checks, in a fresh interpreter, that the names of the records module load
+# on first use from the package and from core, and prints the fields of the
+# records that scalar results are compared by.
+_RECORDS_PROBE = """
+import sys
+import casimir_slab
+from casimir_slab import core
+assert "casimir_slab.records" not in sys.modules
+listed = {module: dir(module) for module in (casimir_slab, core)}
+for module, names in listed.items():
+    for name in module.__all__:
+        assert name in names, name
+        getattr(module, name)
+    try:
+        module.no_such_name
+    except AttributeError as exc:
+        assert "no_such_name" in str(exc)
+    else:
+        raise AssertionError("no AttributeError")
+star = {}
+exec("from casimir_slab import *", star)
+assert set(casimir_slab.__all__) <= set(star)
+records = sys.modules["casimir_slab.records"]
+for name in core._RECORDS:
+    assert star[name] is getattr(core, name) is getattr(records, name), name
+import dataclasses
+st = core.Spacetime(6, 0.8)
+for record in (
+    core.em_stress(st, core.EmBC.MIT, 0.3),
+    core.scalar_stress(st, core.ScalarBC.NEUMANN, 0.3, improved=True),
+    core.em_fluctuations(st, core.EmBC.METALLIC, 0.3),
+):
+    print(" ".join(dataclasses.asdict(record)))
+"""
+
+
+def test_records_load_on_first_use():
+    src = os.path.dirname(os.path.dirname(core.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RECORDS_PROBE],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "t00 tzz t_transverse trace",
+        "t00 tzz t_transverse trace",
+        "ez2 ei2 biz2 bij2",
+    ]
 
 
 def test_em_bc_scalar_mapping_is_fixed():
