@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from itertools import islice
 from operator import add
 from typing import TYPE_CHECKING, Iterable
 
@@ -89,6 +90,17 @@ class TheoryKind(Enum):
     MAXWELL = "maxwell"
 
 
+# The members the kernels test for, as module names. The enum metaclass
+# defines __getattr__ (Python 3.11), which puts every member read through the
+# class, such as ScalarBC.DIRICHLET, on a slow path: several times the cost of
+# reading a module name.
+_DIRICHLET = ScalarBC.DIRICHLET
+_NEUMANN = ScalarBC.NEUMANN
+_METALLIC = EmBC.METALLIC
+_MIT = EmBC.MIT
+_MAXWELL = TheoryKind.MAXWELL
+
+
 class _Value:
     # A small immutable value whose fields are its __slots__. It compares,
     # hashes, prints and pickles as the tuple of its fields, as a frozen
@@ -133,7 +145,7 @@ class Theory(_Value):
     bc: ScalarBC | EmBC
 
     def __init__(self, kind: TheoryKind, bc: ScalarBC | EmBC) -> None:
-        if kind is TheoryKind.MAXWELL:
+        if kind is _MAXWELL:
             if not isinstance(bc, EmBC):
                 raise ValueError("Maxwell theory requires an EmBC boundary condition")
         elif not isinstance(bc, ScalarBC):
@@ -211,9 +223,13 @@ def _amplitude(dim: int, length: float) -> tuple[float, float]:
 
 
 def _bc_sign(bc: ScalarBC | EmBC) -> float:
-    # Upper sign for Dirichlet-like conditions throughout.
-    scalar = bc.scalar_bc if isinstance(bc, EmBC) else bc
-    return 1.0 if scalar is ScalarBC.DIRICHLET else -1.0
+    # Upper sign for Dirichlet-like conditions throughout. Every function that
+    # takes a boundary condition calls this first, so each rejects a bad one.
+    if bc is _DIRICHLET or bc is _METALLIC:
+        return 1.0
+    if bc is _NEUMANN or bc is _MIT:
+        return -1.0
+    raise ValueError(f"bc must be a ScalarBC or EmBC member, got {bc!r}")
 
 
 _OVERFLOW = "D={}: a result overflows a double (small length or z near a plate)"
@@ -235,10 +251,12 @@ def _stress_row(dim: int, t00: float, tzz: float) -> tuple[float, float, float, 
     return (t00 + 0.0, tzz + 0.0, -t00 + 0.0, trace)
 
 
-def _interior_xs(st: Spacetime, grid: Iterable[float]) -> list[float]:
-    # x = z/L at each z, checked to lie strictly inside also after rounding.
+def _interior_args(st: Spacetime, grid: Iterable[float]) -> list[float]:
+    # The Hurwitz arguments of f at each z of the grid: every x = z/L, then
+    # every 1 - x, each x checked to lie strictly inside also after rounding.
     length = st.plate_gap_L
     xs = []
+    mirrors = []
     for z in grid:
         x = z / length
         if not (0.0 < z < length and 0.0 < x < 1.0):
@@ -246,32 +264,35 @@ def _interior_xs(st: Spacetime, grid: Iterable[float]) -> list[float]:
                 f"z={z} is on or outside the plates; densities diverge at z=0 and z=L"
             )
         xs.append(x)
+        mirrors.append(1.0 - x)
+    xs += mirrors
     return xs
 
 
-def _image_profile(dim: int, firsts: Iterable[float], seconds: Iterable[float]) -> Iterable[float]:
-    # zeta_H(D, a) + zeta_H(D, b) for the pairs (a, b), one Hurwitz loop per family.
-    d = float(dim)
-    return map(add, specfun._hurwitz_many(d, firsts), specfun._hurwitz_many(d, seconds))
+def _image_profile(dim: int, args: list[float]) -> Iterable[float]:
+    # zeta_H(D, a_i) + zeta_H(D, a_{n+i}) for the 2n arguments a, the firsts
+    # then the seconds of each pair, in one Hurwitz loop.
+    values = specfun._hurwitz_many(float(dim), args)
+    return map(add, values, islice(values, len(args) // 2, None))
 
 
 def _stress_rows(
-    st: Spacetime, bc: ScalarBC | EmBC, grid: Iterable[float], dof: int, coef: float
+    st: Spacetime, sign: float, grid: Iterable[float], dof: int, coef: float
 ) -> list[tuple[float, float, float, float]]:
     # Rows (t00, tzz, t_transverse, trace) of dof scalar polarisations on a
-    # grid of 0 < z < L: t00 = -dof A [zeta(D) +/- coef f(z/L)] and
+    # grid of 0 < z < L: t00 = -dof A [zeta(D) + sign coef f(z/L)] and
     # tzz = dof (D-1) e0, with t00 = dof e0 at every z when coef is 0.
     dim = st.dim_D
     scale, zeta = _amplitude(dim, st.plate_gap_L)
-    xs = _interior_xs(st, grid)
+    args = _interior_args(st, grid)
     e0 = -(scale * zeta)
     tzz = (dof * (dim - 1)) * e0
     if coef == 0.0:
-        return [_stress_row(dim, dof * e0, tzz)] * len(xs)
+        return [_stress_row(dim, dof * e0, tzz)] * (len(args) // 2)
     pre = -dof * scale
-    k = _bc_sign(bc) * coef
+    k = sign * coef
     rows = []
-    for f in _image_profile(dim, xs, (1.0 - x for x in xs)):
+    for f in _image_profile(dim, args):
         t00 = pre * (zeta + k * f)
         trace = (dim - 1) * t00 - tzz + 0.0
         if not -math.inf < trace < math.inf:
@@ -297,7 +318,7 @@ def total_energy_per_area(st: Spacetime, th: Theory) -> float:
     is a total derivative and cannot shift the integral). Maxwell: D - 2
     field polarizations multiply the scalar result.
     """
-    if th.kind is TheoryKind.MAXWELL:
+    if th.kind is _MAXWELL:
         dof = st.dim_D - 2
         if dof == 0:
             return 0.0
@@ -313,7 +334,7 @@ def pressure(st: Spacetime, th: Theory) -> float:
     propagating modes.
     """
     coeff = st.dim_D - 1
-    if th.kind is TheoryKind.MAXWELL:
+    if th.kind is _MAXWELL:
         coeff *= st.dim_D - 2
         if coeff == 0:
             return 0.0
@@ -349,7 +370,7 @@ def scalar_stress_rows(
     st: Spacetime, bc: ScalarBC, grid: Iterable[float], improved: bool = False
 ) -> list[tuple]:
     """scalar_stress as rows (t00, tzz, t_transverse, trace) on a grid of 0 < z < L."""
-    return _stress_rows(st, bc, grid, 1, 0.0 if improved else st.dim_D / 2.0 - 1.0)
+    return _stress_rows(st, _bc_sign(bc), grid, 1, 0.0 if improved else st.dim_D / 2.0 - 1.0)
 
 
 def scalar_energy_density(st: Spacetime, bc: ScalarBC, z: float) -> float:
@@ -364,16 +385,16 @@ def scalar_energy_density(st: Spacetime, bc: ScalarBC, z: float) -> float:
 
 def em_fluctuations_rows(st: Spacetime, bc: EmBC, grid: Iterable[float]) -> list[tuple]:
     """em_fluctuations as rows (ez2, ei2, biz2, bij2) on a grid of 0 < z < L."""
+    half = _bc_sign(bc) * 0.5
     dim = st.dim_D
     if dim < 3:
         raise DomainError("em_fluctuations: Maxwell needs D >= 3")
     scale, zeta = _amplitude(dim, st.plate_gap_L)
-    xs = _interior_xs(st, grid)
+    args = _interior_args(st, grid)
     pre_e = (dim - 2) * scale
     pre_i = -2.0 * scale
-    half = _bc_sign(bc) * 0.5
     rows = []
-    for f in _image_profile(dim, xs, (1.0 - x for x in xs)):
+    for f in _image_profile(dim, args):
         ez2 = pre_e * (zeta + half * f)
         ei2 = pre_i * (zeta - half * f)
         if not (-math.inf < ez2 < math.inf and -math.inf < ei2 < math.inf):
@@ -401,13 +422,16 @@ def field_invariant(fl: FieldFluctuations, dim_D: int) -> float:
 
 def em_stress_rows(st: Spacetime, bc: EmBC, grid: Iterable[float]) -> list[tuple]:
     """em_stress as rows (t00, tzz, t_transverse, trace) on a grid of 0 < z < L."""
-    if st.dim_D < 3:
+    sign = _bc_sign(bc)
+    dim = st.dim_D
+    if dim < 3:
         raise DomainError("em_stress: Maxwell needs D >= 3")
-    return _stress_rows(st, bc, grid, st.dim_D - 2, st.dim_D / 2.0 - 2.0)
+    return _stress_rows(st, sign, grid, dim - 2, dim / 2.0 - 2.0)
 
 
 def _single_plate_row(dim_D: int, bc: EmBC, z: float) -> tuple[float, float, float, float]:
     # single_plate_stress as a row (t00, tzz, t_transverse, trace).
+    sign = _bc_sign(bc)
     dim = _check_dim(dim_D)
     if dim < 3:
         raise DomainError("single_plate_stress: Maxwell needs D >= 3")
@@ -417,7 +441,7 @@ def _single_plate_row(dim_D: int, bc: EmBC, z: float) -> tuple[float, float, flo
     if coef == 0.0:
         return (0.0, 0.0, 0.0, 0.0)
     scale, _ = _amplitude(dim, abs(z))
-    t00 = -_bc_sign(bc) * (dim - 2) * coef * scale
+    t00 = -sign * (dim - 2) * coef * scale
     return _stress_row(dim, t00, 0.0)
 
 
@@ -436,20 +460,20 @@ def f_tilde(st: Spacetime, x: float) -> float:
 
 def subtracted_rows(st: Spacetime, bc: EmBC, grid: Iterable[float]) -> list[tuple]:
     """subtracted_profile as rows (z, t00, tzz, t_transverse, trace, region), sorted by z."""
+    sign = _bc_sign(bc)
     dim = st.dim_D
     if dim < 3:
         raise DomainError("subtracted_profile: Maxwell needs D >= 3")
     length = st.plate_gap_L
     scale, zeta = _amplitude(dim, length)
     coef = dim / 2.0 - 2.0
-    sign = _bc_sign(bc)
     k = sign * coef
     k_exterior = -sign * coef
     pre = -(dim - 2) * scale
     tzz_interior = ((dim - 2) * (dim - 1)) * -(scale * zeta)
     zs = sorted(grid)
     xs = [z / length for z in zs if 0.0 < z < length]
-    profile = _image_profile(dim, (1.0 + x for x in xs), (2.0 - x for x in xs))
+    profile = _image_profile(dim, [1.0 + x for x in xs] + [2.0 - x for x in xs])
     rows = []
     for z in zs:
         tzz = 0.0

@@ -58,6 +58,9 @@ _STIRLING_COEFF = tuple(
 # (B_2k / (2k)!, 2k - 1, 2k) for k = 1..10: one step of the Hurwitz tail.
 _EM_STEPS = tuple((coeff, 2 * k - 1, 2 * k) for k, coeff in enumerate(_EM_COEFF, 1))
 
+# The steps k = 1..6, through B_12, of the Riemann zeta tail.
+_ZETA_STEPS = _EM_STEPS[:6]
+
 # Lanczos approximation, g = 607/128, 15 terms (Numerical Recipes 3rd ed.).
 _LANCZOS_C0 = 0.999999999999997092
 _LANCZOS = (
@@ -132,27 +135,32 @@ def gamma(x: float) -> float:
     return value
 
 
+# The direct terms of _zeta_em, 1 .. 19, as floats: float(n) ** -s and n ** -s
+# convert the same small integer exactly, so the loop need not convert it.
+_ZETA_BASES = tuple(map(float, range(1, 20)))
+
+
 def _zeta_em(s: float) -> float:
-    # Euler-Maclaurin continuation of sum n^-s: 20 direct terms plus the
-    # tail through the B_12 term. Valid (far beyond the accuracy target)
-    # for s > -11, s != 1.
-    n_direct = 20
+    # Euler-Maclaurin continuation of sum n^-s: 19 direct terms, then the
+    # tail at N = 20 through the B_12 term. Valid (far beyond the accuracy
+    # target) for s > -11, s != 1.
+    neg_s = -s
     acc = 0.0
-    for n in range(1, n_direct):
+    for n in _ZETA_BASES:
         # The terms do not grow for s >= 0, and rounding is monotonic: once
         # one leaves the sum unchanged, none of the later ones can change it.
-        total = acc + float(n) ** (-s)
+        total = acc + n**neg_s
         if total == acc:
             break
         acc = total
-    big_n = float(n_direct)
-    acc += 0.5 * big_n ** (-s)
+    big_n = 20.0
+    acc += 0.5 * big_n**neg_s
     acc += big_n ** (1.0 - s) / (s - 1.0)
     # rising = s (s+1) ... (s+2k-2), the rising factorial of length 2k-1.
     rising = s
-    for k in range(1, 7):
-        acc += _EM_COEFF[k - 1] * rising * big_n ** (-s - 2 * k + 1)
-        rising = rising * (s + (2 * k - 1)) * (s + 2 * k)
+    for coeff, odd, even in _ZETA_STEPS:
+        acc += coeff * rising * big_n ** (neg_s - even + 1)
+        rising = rising * (s + odd) * (s + even)
         if rising == math.inf:
             break  # s is so large that every later power of big_n is 0
     return acc
@@ -229,6 +237,11 @@ def _em_tail(s: float) -> Iterator[tuple[float, float]]:
 # The tails of the orders the slab closed forms use, D = 2..24.
 _EM_TAILS = {float(s): list(_em_tail(float(s))) for s in range(2, 25)}
 
+# _DIRECT_OFFSETS[n] = (0.0, 1.0, ..., n - 1.0), the offsets of n direct terms.
+# shifted + 1.0 rounds exactly as shifted + 1 (the int converts exactly), so
+# iterating over floats keeps every bit and saves a conversion per term.
+_DIRECT_OFFSETS = tuple(tuple(map(float, range(n))) for n in range(16))
+
 
 def _hurwitz_many(
     s: float, args: Iterable[float], tail: Iterable[tuple[float, float]] | None = None
@@ -254,8 +267,8 @@ def _hurwitz_many(
         # terms decrease and rounding is monotonic, so the first one that leaves
         # the sum unchanged ends the loop without changing a bit of the result.
         n_direct = 16 - int(shifted) if shifted < 16.0 else 0
-        for n in range(n_direct):
-            total = acc + (shifted + n) ** neg_s
+        for offset in _DIRECT_OFFSETS[n_direct]:
+            total = acc + (shifted + offset) ** neg_s
             if total == acc:
                 break
             acc = total
@@ -265,7 +278,11 @@ def _hurwitz_many(
         for coeff, power in tail:
             term = coeff * x**power
             acc += term
-            if abs(term) < tol * abs(acc):
+            # The same test as abs(term) < tol * abs(acc) for every acc, the
+            # negative ones included: lim is never negative, and for lim >= 0
+            # (or NaN) -lim < t < lim holds exactly when abs(t) < lim does.
+            lim = tol * abs(acc)
+            if -lim < term < lim:
                 break
         out.append(acc)
     return out

@@ -248,6 +248,51 @@ def test_theory_bc_pairing_enforced():
     assert Theory(TheoryKind.MAXWELL, EmBC.MIT).scalar_bc is ScalarBC.NEUMANN
 
 
+# Every public function that takes a boundary condition, called at z = 0.3 L
+# (subtracted: also outside the slab). D = 4 takes the shortcuts that never
+# use the sign: Maxwell and the single plate are constant or zero there.
+_BC_TAKERS = {
+    "scalar_energy_density": lambda st, bc: core.scalar_energy_density(st, bc, 0.3),
+    "scalar_stress": lambda st, bc: core.scalar_stress(st, bc, 0.3),
+    "scalar_stress-improved": lambda st, bc: core.scalar_stress(st, bc, 0.3, improved=True),
+    "scalar_stress_rows": lambda st, bc: core.scalar_stress_rows(st, bc, [0.3]),
+    "scalar_stress_rows-improved": lambda st, bc: core.scalar_stress_rows(st, bc, [0.3], True),
+    "em_stress": lambda st, bc: core.em_stress(st, bc, 0.3),
+    "em_stress_rows": lambda st, bc: core.em_stress_rows(st, bc, [0.3]),
+    "em_fluctuations": lambda st, bc: core.em_fluctuations(st, bc, 0.3),
+    "em_fluctuations_rows": lambda st, bc: core.em_fluctuations_rows(st, bc, [0.3]),
+    "single_plate_stress": lambda st, bc: core.single_plate_stress(st.dim_D, bc, 0.3),
+    "subtracted_profile": lambda st, bc: core.subtracted_profile(st, bc, [-0.5, 0.3, 1.5]),
+    "subtracted_rows": lambda st, bc: core.subtracted_rows(st, bc, [-0.5, 0.3, 1.5]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BC_TAKERS))
+def test_invalid_boundary_condition_raises_value_error(name):
+    # An invalid bc once gave the other condition's numbers.
+    call = _BC_TAKERS[name]
+    for dim in (4, 6):
+        st = Spacetime(dim, 1.0)
+        call(st, EmBC.METALLIC if name.startswith(("em", "single", "sub")) else ScalarBC.NEUMANN)
+        for bad in ("metallic", None, 1.0):
+            with pytest.raises(ValueError, match=f"got {bad!r}$"):
+                call(st, bad)
+
+
+def test_boundary_condition_signs():
+    # Dirichlet and metallic take the upper sign, Neumann and MIT the lower.
+    st = Spacetime(6, 1.0)
+    upper = core.em_stress_rows(st, EmBC.METALLIC, [0.3])
+    lower = core.em_stress_rows(st, EmBC.MIT, [0.3])
+    assert upper != lower
+    assert core.em_stress_rows(st, ScalarBC.DIRICHLET, [0.3]) == upper
+    assert core.em_stress_rows(st, ScalarBC.NEUMANN, [0.3]) == lower
+    t00 = core.scalar_energy_density
+    assert t00(st, ScalarBC.DIRICHLET, 0.3) == t00(st, EmBC.METALLIC, 0.3)
+    assert t00(st, ScalarBC.NEUMANN, 0.3) == t00(st, EmBC.MIT, 0.3)
+    assert t00(st, ScalarBC.DIRICHLET, 0.3) != t00(st, ScalarBC.NEUMANN, 0.3)
+
+
 def test_profile_requires_increasing_grid():
     st4 = Spacetime(4, 1.0)
     prof = core.subtracted_profile(st4, EmBC.METALLIC, [0.4, 0.2, 0.6])
