@@ -23,6 +23,7 @@ import os
 import re
 import sys
 from bisect import bisect_left
+from contextlib import contextmanager
 from functools import partial
 from itertools import chain, islice
 from operator import add, eq, neg
@@ -169,28 +170,94 @@ def _processes(blocks: int) -> int:
     return max(1, min(blocks, cpus))
 
 
-def _fork(table: tuple, first: int, last: int, fmt: str, spill: TextIO) -> int:
-    # The pid of a worker that writes the text of blocks first..last-1 to
-    # spill and exits with 0 once all of it is there. The worker stops before
-    # its next block once this process is gone, as no one would read its text.
+def _fork(work: Callable[[TextIO, Callable], None], spill: TextIO) -> int:
+    # The pid of a worker that runs work(spill, guard) and exits with 0 once
+    # all its text is in spill. guard(step) is step, except that the worker
+    # stops before each call of it once this process is gone, as no one would
+    # read its text.
     parent = os.getpid()
     pid = os.fork()
     if pid == 0:  # the worker; it leaves only here
         code = 1
         try:
-            grid, points, columns = table
+            def guard(step: Callable) -> Callable:
+                def guarded(*args: object) -> object:
+                    if os.getppid() != parent:
+                        os._exit(1)
+                    return step(*args)
 
-            def parented_columns(zs: tuple) -> Iterable[Sequence]:
-                if os.getppid() != parent:
-                    os._exit(1)
-                return columns(zs)
+                return guarded
 
-            _write_range(spill, (grid, points, parented_columns), first, last, fmt)
+            work(spill, guard)
             spill.flush()  # os._exit drops what a buffer still holds
             code = 0
         finally:
             os._exit(code)
     return pid
+
+
+def _unguarded(step: Callable) -> Callable:
+    return step
+
+
+@contextmanager
+def _spilled(
+    works: Sequence[Callable[[TextIO, Callable], None]], read: Callable[[TextIO], object]
+) -> Iterator[list]:
+    """Run each work(spill, guard) into its own unlinked temporary file and
+    yield read(spill) of each, in order, with the spill read from its start.
+
+    The first work runs in this process and each other one in a forked
+    worker, which reports only through its exit status. A work whose worker
+    could not be forked, exits other than with 0 or leaves a file that read
+    rejects with ValueError runs here again, which raises what one process
+    raises. The files stay open, and a worker not yet reaped is killed, until
+    the with block ends. A temporary file that cannot be made or filled
+    raises UsageError.
+    """
+    import tempfile  # here, as json and signal are, so that importing the CLI never loads it
+
+    spills: list[TextIO] = []
+    workers: dict[int, int] = {}  # work index -> pid of its worker, until reaped
+    try:
+        try:
+            for _ in works:
+                spills.append(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
+            for i in range(1, len(works)):
+                try:
+                    workers[i] = _fork(works[i], spills[i])
+                except OSError:
+                    break
+            works[0](spills[0], _unguarded)
+            values = []
+            for i, (work, spill) in enumerate(zip(works, spills)):
+                failed = i > 0 and (i not in workers or os.waitpid(workers[i], 0)[1] != 0)
+                workers.pop(i, None)
+                spill.seek(0)  # which flushes what this process wrote
+                if not failed:
+                    try:
+                        values.append(read(spill))
+                        continue
+                    except ValueError:
+                        spill.seek(0)
+                # What the worker wrote is a prefix of this text.
+                work(spill, _unguarded)
+                spill.seek(0)
+                values.append(read(spill))
+        except OSError as exc:
+            raise UsageError(f"temporary file: {exc}") from exc
+        yield values
+    finally:
+        for spill in spills:
+            try:
+                spill.close()
+            except OSError:
+                pass  # its flush failed again, on text that is being dropped
+        if workers:
+            import signal
+            for pid in workers.values():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _to_stdout(write: Callable[[TextIO], None]) -> None:
@@ -218,44 +285,25 @@ def _render(
     each with one cell per point: a tuple of floats, or a sequence that holds
     no float.
 
-    The blocks are cut into one contiguous range per process: this one
-    evaluates the first, a forked worker each other one. Each range has its
-    own unlinked temporary file, and each block's text goes into it as soon
-    as the block is made, so no process holds more than one block; the
-    whole table's text sits in the temporary directory until it is copied
-    out. A range whose worker fails is evaluated here again, which raises
-    what one process raises. Nothing is written before every range is
-    evaluated, so an error leaves stdout empty and creates no file. A
-    temporary file that cannot be made or filled, and a write to stdout
-    that fails, raise UsageError.
+    The blocks are cut into one contiguous range per process, each evaluated
+    by _spilled into its own temporary file: the first in this process, each
+    other in a forked worker. Each block's text goes into the file as soon as
+    the block is made, so no process holds more than one block; the whole
+    table's text sits in the temporary directory until it is copied out.
+    Nothing is written before every range is evaluated, so an error leaves
+    stdout empty and creates no file. A write to stdout that fails raises
+    UsageError.
     """
-    import tempfile  # here, as json and signal are, so that importing the CLI never loads it
-
-    blocks = -(-table[1] // _BLOCK_ROWS)
+    grid, points, evaluate = table
+    blocks = -(-points // _BLOCK_ROWS)
     n = _processes(blocks)
     cuts = [blocks * i // n for i in range(n + 1)]
-    spills: list[TextIO] = []
-    workers: dict[int, int] = {}  # range index -> pid of its worker, until reaped
-    try:
-        try:
-            for _ in range(n):
-                spills.append(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
-            for i in range(1, n):
-                try:
-                    workers[i] = _fork(table, cuts[i], cuts[i + 1], fmt, spills[i])
-                except OSError:
-                    break
-            _write_range(spills[0], table, 0, cuts[1], fmt)
-            for i in range(1, n):
-                failed = i not in workers or os.waitpid(workers[i], 0)[1] != 0
-                workers.pop(i, None)
-                if failed:  # what the worker wrote is a prefix of this text
-                    spills[i].seek(0)
-                    _write_range(spills[i], table, cuts[i], cuts[i + 1], fmt)
-            for spill in spills:
-                spill.seek(0)  # which flushes what this process wrote
-        except OSError as exc:
-            raise UsageError(f"temporary file: {exc}") from exc
+
+    def write_range(first: int, last: int, spill: TextIO, guard: Callable) -> None:
+        _write_range(spill, (grid, points, guard(evaluate)), first, last, fmt)
+
+    works = [partial(write_range, cuts[i], cuts[i + 1]) for i in range(n)]
+    with _spilled(works, lambda spill: spill) as spills:
         if output is None:
             _to_stdout(lambda out: _write_table(out, config, columns, spills, fmt))
             return
@@ -264,17 +312,6 @@ def _render(
                 _write_table(handle, config, columns, spills, fmt)
         except OSError as exc:
             raise UsageError(f"--output: {exc}") from exc
-    finally:
-        for spill in spills:
-            try:
-                spill.close()
-            except OSError:
-                pass  # its flush failed again, on text that is being dropped
-        if workers:
-            import signal
-            for pid in workers.values():
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
 
 
 _THEORY_KINDS = {k.value: k for k in TheoryKind}
@@ -450,7 +487,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # Imported here so the other commands never load numpy and the oracles.
     from . import verify
 
-    results = verify.run_checks(quick=args.quick)
+    if _processes(2) == 1:
+        results = verify.run_checks(quick=args.quick)
+    else:
+        # This process runs the head of the suite, and so raises first what
+        # one process would raise first; one worker runs the rest.
+        checks = verify.checks(args.quick)
+        works = [
+            partial(verify._write_checks, checks[: verify.HEAD]),
+            partial(verify._write_checks, checks[verify.HEAD :]),
+        ]
+        with _spilled(works, verify._read_checks) as (head, tail):
+            results = head + tail
     rows = [(r.name, r.residual, r.tolerance, "pass" if r.passed else "FAIL") for r in results]
     config: dict[str, object] = {
         "command": args.command,

@@ -190,6 +190,12 @@ class Region(Enum):
     RIGHT_EXTERIOR = "right-exterior"
 
 
+# As module names, for the reason given at _DIRICHLET.
+_LEFT_EXTERIOR = Region.LEFT_EXTERIOR
+_INTERIOR = Region.INTERIOR
+_RIGHT_EXTERIOR = Region.RIGHT_EXTERIOR
+
+
 # (gamma(D/2), (4 pi)^(D/2), zeta(D)) for D = _MIN_DIM .. _MAX_DIM,
 # computed once so no closed form calls gamma or zeta per point.
 _AMPLITUDE_TABLE = tuple(
@@ -479,14 +485,14 @@ def subtracted_rows(st: Spacetime, bc: EmBC, grid: Iterable[float]) -> list[tupl
         tzz = 0.0
         if z < 0.0:
             t00 = pre * (k_exterior * (length / (length - z)) ** dim)
-            region = Region.LEFT_EXTERIOR
+            region = _LEFT_EXTERIOR
         elif z > length:
             t00 = pre * (k_exterior * (length / z) ** dim)
-            region = Region.RIGHT_EXTERIOR
+            region = _RIGHT_EXTERIOR
         elif 0.0 < z < length:
             t00 = pre * (zeta + k * next(profile))
             tzz = tzz_interior
-            region = Region.INTERIOR
+            region = _INTERIOR
         else:
             raise DomainError(
                 f"subtracted_profile: grid point z={z} sits exactly on a plate or is not a number"

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Profile, Region, ScalarBC, Spacetime
+from .core import _INTERIOR, _LEFT_EXTERIOR, _RIGHT_EXTERIOR, Profile, ScalarBC, Spacetime
 from .errors import DomainError, IllConditionedFitError, InsufficientSamplesError
 
 __all__ = [
@@ -273,7 +273,7 @@ def profile_energy_integral(profile: Profile, st: Spacetime) -> ProfileEnergy:
     """
     length = st.plate_gap_L
     dim = st.dim_D
-    interior = [s for s in profile.samples if s.region is Region.INTERIOR]
+    interior = [s for s in profile.samples if s.region is _INTERIOR]
     if len(interior) < 256:
         raise InsufficientSamplesError(
             f"need at least 256 interior samples, got {len(interior)}"
@@ -288,11 +288,11 @@ def profile_energy_integral(profile: Profile, st: Spacetime) -> ProfileEnergy:
     inner += float(zs[0]) * ys[0] + (length - float(zs[-1])) * ys[-1]
 
     exterior_total = 0.0
-    for region in (Region.LEFT_EXTERIOR, Region.RIGHT_EXTERIOR):
+    for region in (_LEFT_EXTERIOR, _RIGHT_EXTERIOR):
         side = [s for s in profile.samples if s.region is region]
         if not side:
             continue
-        dists = [length - s.z if region is Region.LEFT_EXTERIOR else s.z for s in side]
+        dists = [length - s.z if region is _LEFT_EXTERIOR else s.z for s in side]
         coeff = sum(
             s.tensor.t00 * (dist / length) ** dim for s, dist in zip(side, dists)
         ) / len(side)

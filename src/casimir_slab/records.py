@@ -71,7 +71,7 @@ class Profile:
             raise ValueError("profile samples must be strictly increasing in z")
         length = self.spacetime.plate_gap_L
         for s in self.samples:
-            if s.region is Region.INTERIOR and not 0.0 < s.z < length:
+            if s.region is core._INTERIOR and not 0.0 < s.z < length:
                 raise ValueError(f"interior sample at z={s.z} outside (0, L)")
 
 

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, TextIO
 
 import numpy as np
 
 from . import core, oracle, specfun
 from .core import EmBC, ScalarBC, Spacetime, Theory, TheoryKind
 
-__all__ = ["CheckResult", "run_checks"]
+__all__ = ["HEAD", "CheckResult", "checks", "run_checks"]
 
 
 @dataclass(frozen=True)
@@ -50,13 +52,13 @@ _ALL_THEORIES = (
 )
 
 
-def _check_classic_pressure(tol: float) -> CheckResult:
+def _check_classic_pressure(tol: float) -> list[CheckResult]:
     st = Spacetime(4, 1.0)
     got = core.pressure(st, Theory(TheoryKind.MAXWELL, EmBC.METALLIC))
-    return CheckResult("classic-pressure-d4", _rel(got, -math.pi**2 / 240.0), tol)
+    return [CheckResult("classic-pressure-d4", _rel(got, -math.pi**2 / 240.0), tol)]
 
 
-def _check_f_dual_forms(budget: oracle.SeriesBudget, tol: float) -> CheckResult:
+def _check_f_dual_forms(budget: oracle.SeriesBudget, tol: float) -> list[CheckResult]:
     worst = 0.0
     for dim in (4, 6, 8):
         st = Spacetime(dim, 1.0)
@@ -75,7 +77,7 @@ def _check_f_dual_forms(budget: oracle.SeriesBudget, tol: float) -> CheckResult:
                 _rel(hurwitz_form, cot_form),
             )
     worst = max(worst, _rel(core.f_profile(Spacetime(4, 1.0), 0.5), math.pi**4 / 3.0))
-    return CheckResult("f-profile-dual-closed-forms", worst, tol)
+    return [CheckResult("f-profile-dual-closed-forms", worst, tol)]
 
 
 # 20 (k, z, zp) with 0.1 <= k < 10, 0.1 <= z, zp < 0.9 and |z - zp| >= 0.1,
@@ -205,7 +207,7 @@ def _check_conformal_and_improved(tol: float) -> list[CheckResult]:
     ]
 
 
-def _check_trace_identity(tol: float) -> CheckResult:
+def _check_trace_identity(tol: float) -> list[CheckResult]:
     worst = 0.0
     for dim in range(3, 11):
         st = Spacetime(dim, 1.0)
@@ -216,10 +218,10 @@ def _check_trace_identity(tol: float) -> CheckResult:
                 rhs = (dim / 4.0 - 1.0) * core.field_invariant(fl, dim)
                 scale = max(abs(t.t00), abs(t.tzz), 1e-300)
                 worst = max(worst, abs(t.trace - rhs) / scale)
-    return CheckResult("maxwell-trace-identity", worst, tol)
+    return [CheckResult("maxwell-trace-identity", worst, tol)]
 
 
-def _check_duality_and_displays(tol: float) -> CheckResult:
+def _check_duality_and_displays(tol: float) -> list[CheckResult]:
     worst = 0.0
     for dim in (3, 4, 6, 9):
         st = Spacetime(dim, 1.0)
@@ -246,10 +248,10 @@ def _check_duality_and_displays(tol: float) -> CheckResult:
         want_ez = (math.pi**2 / 48.0) * (core.F_theta(theta) + 1.0 / 15.0)
         want_ei = (math.pi**2 / 48.0) * (core.F_theta(theta) - 1.0 / 15.0)
         worst = max(worst, _rel(fl.ez2, want_ez), _rel(fl.ei2, want_ei))
-    return CheckResult("duality-and-d4-displays", worst, tol)
+    return [CheckResult("duality-and-d4-displays", worst, tol)]
 
 
-def _check_degeneracy(tol: float) -> CheckResult:
+def _check_degeneracy(tol: float) -> list[CheckResult]:
     worst = 0.0
     for dim in range(3, 13):
         st = Spacetime(dim, 1.0)
@@ -264,10 +266,10 @@ def _check_degeneracy(tol: float) -> CheckResult:
         zn = core.scalar_energy_density(st, ScalarBC.NEUMANN, 0.2)
         e0 = core.base_energy_density(st)
         worst = max(worst, abs(zd + zn - 2.0 * e0) / max(abs(zd), abs(zn), abs(e0)))
-    return CheckResult("bc-exchange-and-degeneracy", worst, tol)
+    return [CheckResult("bc-exchange-and-degeneracy", worst, tol)]
 
 
-def _check_cancellation(n_interior: int, tol: float) -> CheckResult:
+def _check_cancellation(n_interior: int, tol: float) -> list[CheckResult]:
     worst = 0.0
     n_ext = 32
     for dim in range(5, 11):
@@ -282,7 +284,7 @@ def _check_cancellation(n_interior: int, tol: float) -> CheckResult:
         split = oracle.profile_energy_integral(prof, st)
         want = core.total_energy_per_area(st, Theory(TheoryKind.MAXWELL, EmBC.METALLIC))
         worst = max(worst, _rel(split.total, want))
-    return CheckResult("subtracted-energy-cancellation", worst, tol)
+    return [CheckResult("subtracted-energy-cancellation", worst, tol)]
 
 
 def _check_single_plate(tol: float) -> list[CheckResult]:
@@ -302,8 +304,17 @@ def _check_single_plate(tol: float) -> list[CheckResult]:
     ]
 
 
-def run_checks(quick: bool = False) -> list[CheckResult]:
-    """Run every consistency check; returns one result per check."""
+# The CLI process runs the first HEAD checks of the suite and one forked
+# worker the rest. Timed alone on 2 CPUs at full budgets (3 runs), classic
+# pressure and the f-profile dual forms take 145-186 ms of the suite's
+# 276-380 ms, about half; the other nine checks take the rest. The dual
+# forms are nine whole-array power passes, which cannot be split further
+# without changing bits.
+HEAD = 2
+
+
+def checks(quick: bool = False) -> list[Callable[[], list[CheckResult]]]:
+    """The suite as zero-argument callables, in row order; each returns its results."""
     relax = 100.0 if quick else 1.0
     images = 10**4 if quick else 10**6
     modes = 10**3 if quick else 10**4
@@ -314,15 +325,52 @@ def run_checks(quick: bool = False) -> list[CheckResult]:
     budget = oracle.SeriesBudget(max_images=images, max_modes=modes)
     n_interior = 257 if quick else 1025
 
-    results = [_check_classic_pressure(1e-10 * relax)]
-    results.append(_check_f_dual_forms(budget, 1e-9 * relax))
-    results.extend(_check_green(budget, 1e-6 * relax))
-    results.extend(_check_cutoff(cutoff_budget, 1e-3 * relax, cutoff_scale))
-    results.extend(_check_pressure_constancy(1e-10 * relax, 1e-7 * relax))
-    results.extend(_check_conformal_and_improved(1e-10 * relax))
-    results.append(_check_trace_identity(1e-10 * relax))
-    results.append(_check_duality_and_displays(1e-10 * relax))
-    results.append(_check_degeneracy(1e-10 * relax))
-    results.append(_check_cancellation(n_interior, 1e-6 * relax))
-    results.extend(_check_single_plate(1e-6 * relax))
+    return [
+        partial(_check_classic_pressure, 1e-10 * relax),
+        partial(_check_f_dual_forms, budget, 1e-9 * relax),
+        partial(_check_green, budget, 1e-6 * relax),
+        partial(_check_cutoff, cutoff_budget, 1e-3 * relax, cutoff_scale),
+        partial(_check_pressure_constancy, 1e-10 * relax, 1e-7 * relax),
+        partial(_check_conformal_and_improved, 1e-10 * relax),
+        partial(_check_trace_identity, 1e-10 * relax),
+        partial(_check_duality_and_displays, 1e-10 * relax),
+        partial(_check_degeneracy, 1e-10 * relax),
+        partial(_check_cancellation, n_interior, 1e-6 * relax),
+        partial(_check_single_plate, 1e-6 * relax),
+    ]
+
+
+def run_checks(quick: bool = False) -> list[CheckResult]:
+    """Run every consistency check in one process; returns one result per row.
+
+    The results of the callables of checks(quick), in order. The CLI runs
+    those callables itself, split across two processes where it can (see
+    HEAD), with the same results and the same first error.
+    """
+    return [result for check in checks(quick) for result in check()]
+
+
+# The text in which the CLI passes results from one process to another.
+
+
+def _write_checks(
+    checks: list[Callable[[], list[CheckResult]]], out: TextIO, guard: Callable
+) -> None:
+    # Run the checks, each as guard(check)(), and write one line per result,
+    # its name and float.hex residual and tolerance, then the number of
+    # results, so that a text cut short never reads as whole.
+    results = [r for check in checks for r in guard(check)()]
+    lines = [f"{r.name} {r.residual.hex()} {r.tolerance.hex()}\n" for r in results]
+    out.write("".join(lines) + f"{len(lines)}\n")
+
+
+def _read_checks(source: TextIO) -> list[CheckResult]:
+    # The results _write_checks wrote, or ValueError if they are not all there.
+    *lines, count, end = source.read().split("\n")
+    if end or count != str(len(lines)):
+        raise ValueError("check results cut short")
+    results = []
+    for line in lines:
+        name, residual, tolerance = line.split(" ")
+        results.append(CheckResult(name, float.fromhex(residual), float.fromhex(tolerance)))
     return results

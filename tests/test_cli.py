@@ -288,16 +288,51 @@ def test_verify_failure_exits_1_and_reports_worst(capsys, monkeypatch):
 
     def rigged(quick=False):
         return [
-            verify_mod.CheckResult("good-check", 1e-12, 1e-10),
-            verify_mod.CheckResult("broken-check", 3.5e-2, 1e-10),
+            lambda: [
+                verify_mod.CheckResult("good-check", 1e-12, 1e-10),
+                verify_mod.CheckResult("broken-check", 3.5e-2, 1e-10),
+            ]
         ]
 
-    monkeypatch.setattr(verify_mod, "run_checks", rigged)
+    monkeypatch.setattr(verify_mod, "checks", rigged)
     code, out, err = run_cli(capsys, "verify")
     assert code == 1
     assert "FAIL" in out
     assert "broken-check" in err
     assert "3.500e-02" in err
+
+
+@pytest.mark.parametrize("broken", [0, 2], ids=["in-the-cli-process", "in-the-worker"])
+def test_verify_failure_in_either_process_exits_1(capsys, monkeypatch, tmp_path, broken):
+    # Three checks on two CPUs: the first verify.HEAD run in the CLI process,
+    # the last in its worker; a failure in either share must exit 1.
+    from casimir_slab import verify as verify_mod
+
+    log = tmp_path / "calls"
+    log.write_text("")
+
+    def check(i):
+        def run():
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()} {i}\n")
+            if i == broken:
+                return [verify_mod.CheckResult("broken-check", 3.5e-2, 1e-10)]
+            return [verify_mod.CheckResult(f"good-check-{i}", 1e-12, 1e-10)]
+
+        return run
+
+    monkeypatch.setattr(verify_mod, "checks", lambda quick=False: [check(i) for i in range(3)])
+    _set_cpus(monkeypatch, 2)
+    code, out, err = run_cli(capsys, "verify")
+    assert code == 1
+    assert out.count("FAIL") == 1 and ",3.50000000000e-02," in out
+    assert "broken-check" in err
+    assert "3.500e-02" in err
+    ran_in = {int(i): int(pid) for pid, i in map(str.split, log.read_text().splitlines())}
+    assert sorted(ran_in) == [0, 1, 2]
+    assert (ran_in[broken] == os.getpid()) == (broken < verify_mod.HEAD)
+    assert ran_in[2] != os.getpid()
+    _assert_no_child_left()
 
 
 # ------------------------------------------------------- output contracts
@@ -749,17 +784,9 @@ def _process_gone(pid):
         return True
 
 
-def test_a_worker_stops_once_its_cli_process_is_killed(monkeypatch, tmp_path):
-    # Each block sleeps; the CLI process, forked from this one, is killed as
-    # soon as its worker has started on its 20 blocks. The worker must stop
-    # within a couple of blocks, not compute its whole range into a file no
-    # one will read.
-    samples = 40 * cli._BLOCK_ROWS
-    log = tmp_path / "calls"
-    log.write_text("")
-    argv = _grid_argv("profile", 7, 0.37, "maxwell", "mit", samples)
-    _spy_kernels(monkeypatch, log, worker_fault=lambda grid: time.sleep(0.2))
-    _set_cpus(monkeypatch, 2)
+def _worker_calls_after_its_cli_process_is_killed(argv, log):
+    """Run the CLI on argv in a forked process, kill it as soon as its worker
+    has logged a call, and return the number of calls the worker logged."""
     cli_pid = os.fork()
     if cli_pid == 0:
         code = 1
@@ -782,8 +809,22 @@ def test_a_worker_stops_once_its_cli_process_is_killed(monkeypatch, tmp_path):
         time.sleep(0.01)
     assert _process_gone(worker)
     calls += _kernel_calls(log)
-    assert 1 <= len([pid for pid, _ in calls if pid == worker]) <= 3
     _assert_no_child_left()
+    return len([pid for pid, _ in calls if pid == worker])
+
+
+def test_a_worker_stops_once_its_cli_process_is_killed(monkeypatch, tmp_path):
+    # Each block sleeps; the CLI process, forked from this one, is killed as
+    # soon as its worker has started on its 20 blocks. The worker must stop
+    # within a couple of blocks, not compute its whole range into a file no
+    # one will read.
+    samples = 40 * cli._BLOCK_ROWS
+    log = tmp_path / "calls"
+    log.write_text("")
+    argv = _grid_argv("profile", 7, 0.37, "maxwell", "mit", samples)
+    _spy_kernels(monkeypatch, log, worker_fault=lambda grid: time.sleep(0.2))
+    _set_cpus(monkeypatch, 2)
+    assert 1 <= _worker_calls_after_its_cli_process_is_killed(argv, log) <= 3
 
 
 @pytest.mark.parametrize("spill", ["missing-dir", "full-here", "full-in-worker"])
@@ -828,6 +869,134 @@ def test_a_temporary_file_that_fails_exits_2(capsys, monkeypatch, tmp_path, spil
         # each time, the worker met the full file and this process both blocks
         assert len([pid for pid, _ in calls if pid == os.getpid()]) == 2 * 3
         assert len([pid for pid, _ in calls if pid != os.getpid()]) == 3
+
+
+# ---------------------------------------------------------- verify worker
+
+
+def _rig_verify(monkeypatch, log, fail=False, worker_fault=None):
+    """Put cheap checks in place of the suite: verify.HEAD in the CLI process's
+    share and three in its worker's, one of which fails. Each call, in this
+    process or a forked worker, appends "pid index" to the file log; with fail
+    the last check raises DomainError; in a worker, worker_fault() runs first."""
+    from casimir_slab import verify as verify_mod
+
+    result = verify_mod.CheckResult
+    parent = os.getpid()
+    shares = [
+        [result("head-a", 1e-12, 1e-10)],
+        [result("head-b", 0.1, 0.5), result("head-c", 0.0, 1e-300)],
+        [result("tail-a", 2.0 / 3.0, 1.0)],
+        [],
+        [result("tail-b", 3.5e-2, 1e-10), result("tail-c", 5e-324, 1e-6)],
+    ]
+
+    def check(i):
+        def run():
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()} {i}\n")
+            if worker_fault is not None and os.getpid() != parent:
+                worker_fault()
+            if fail and i == len(shares) - 1:
+                raise DomainError("rigged failure")
+            return shares[i]
+
+        return run
+
+    assert verify_mod.HEAD == 2
+    monkeypatch.setattr(verify_mod, "checks", lambda quick=False: list(map(check, range(5))))
+
+
+class _CutShort:
+    # A spill that keeps only the start of each text written to it: half of
+    # it, or all but its last line.
+    def __init__(self, spill, at_a_line):
+        self.spill = spill
+        self.at_a_line = at_a_line
+
+    def write(self, text):
+        cut = text.rindex("\n", 0, -1) + 1 if self.at_a_line else len(text) // 2
+        self.spill.write(text[:cut])
+
+
+@pytest.mark.parametrize(
+    "fault", ["exit", "kill", "fork-error", "truncated", "truncated-at-a-line", "error"]
+)
+def test_failed_verify_workers_change_no_byte(capsys, monkeypatch, tmp_path, fault):
+    # With two CPUs the tail of the suite runs in a worker; each fault leaves
+    # the bytes, exit code and stderr of a one-process run, or its error, and
+    # no child or descriptor behind.
+    log = tmp_path / "calls"
+    log.write_text("")
+    path = tmp_path / "table.out"
+    argvs = (["verify"], ["verify", "--format", "json", "--output", str(path)])
+    fail = fault == "error"
+    expected = []
+    with monkeypatch.context() as patch:
+        _rig_verify(patch, log, fail=fail)
+        _set_cpus(patch, 1)
+        for argv in argvs:
+            expected.append((*run_cli(capsys, *argv), path.exists() and path.read_text()))
+            path.unlink(missing_ok=True)
+    assert [call for call, _ in _kernel_calls(log)] == [os.getpid()] * 10
+    if fail:
+        assert expected == [(2, "", "error: rigged failure\n", False)] * 2
+    else:
+        assert [code for code, *_ in expected] == [1, 1] and "FAIL" in expected[0][1]
+        assert expected[1][2].startswith("verification failed: worst residual 3.500e-02")
+    fds = _open_fds()
+    with monkeypatch.context() as patch:
+        worker_fault = {
+            "exit": lambda: os._exit(3),
+            "kill": lambda: os.kill(os.getpid(), signal.SIGKILL),
+        }.get(fault)
+        _rig_verify(patch, log, fail=fail, worker_fault=worker_fault)
+        _set_cpus(patch, 2)
+        if fault == "fork-error":
+            def no_fork():
+                raise OSError("rigged fork failure")
+
+            patch.setattr(os, "fork", no_fork)
+        elif fault.startswith("truncated"):
+            # The worker exits with 0, but its file holds only part of its text.
+            real_fork = cli._fork
+
+            def fork(work, spill):
+                at_a_line = fault == "truncated-at-a-line"
+                cut_short = lambda spill, guard: work(_CutShort(spill, at_a_line), guard)  # noqa: E731
+                return real_fork(cut_short, spill)
+
+            patch.setattr(cli, "_fork", fork)
+        for argv, want in zip(argvs, expected):
+            assert (*run_cli(capsys, *argv), path.exists() and path.read_text()) == want
+            path.unlink(missing_ok=True)
+            calls = _kernel_calls(log)
+            # this process ran its share and then the worker's again
+            here = [i for pid, i in calls if pid == os.getpid()]
+            assert here == [0, 1, 2, 3, 4]
+            assert any(pid != os.getpid() for pid, _ in calls) == (fault != "fork-error")
+            _assert_no_child_left()
+            assert _open_fds() == fds
+
+
+def test_a_verify_worker_stops_once_its_cli_process_is_killed(monkeypatch, tmp_path):
+    # As a grid worker stops before its next block: each of the worker's 20
+    # checks sleeps, and it must stop within a couple of them once the CLI
+    # process is killed.
+    from casimir_slab import verify as verify_mod
+
+    log = tmp_path / "calls"
+    log.write_text("")
+
+    def check():
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()} 0\n")
+        time.sleep(0.2)
+        return []
+
+    monkeypatch.setattr(verify_mod, "checks", lambda quick=False: [check] * (verify_mod.HEAD + 20))
+    _set_cpus(monkeypatch, 2)
+    assert 1 <= _worker_calls_after_its_cli_process_is_killed(["verify"], log) <= 3
 
 
 def _cli_into(stdout, argv):
