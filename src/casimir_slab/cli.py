@@ -484,10 +484,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    processes = _processes(2)
+    if processes == 2:
+        # numpy's OpenBLAS would start a thread per CPU at its first matrix
+        # product (the cutoff check's), and those threads would compete with
+        # the other process for the CPUs. Its thread count is read when numpy
+        # is loaded, so this holds only if nothing loaded numpy before; a
+        # value the user set is kept. OpenBLAS reads OMP_NUM_THREADS if
+        # OPENBLAS_NUM_THREADS is unset, and other BLAS builds read it too.
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+        os.environ.setdefault("OMP_NUM_THREADS", "1")
     # Imported here so the other commands never load numpy and the oracles.
     from . import verify
 
-    if _processes(2) == 1:
+    if processes == 1:
         results = verify.run_checks(quick=args.quick)
     else:
         # This process runs the head of the suite, and so raises first what

@@ -369,7 +369,12 @@ def F_theta(theta: float) -> float:
     if not 0.0 < theta < math.pi:
         raise DomainError(f"F_theta: theta={theta} outside (0, pi)")
     s2 = math.sin(theta) ** 2
-    return 3.0 / s2**2 - 2.0 / s2
+    s4 = s2**2
+    # Below theta of about 1e-77, 3/s4 overflows; below about 1e-81, s4 is 0.
+    value = 3.0 / s4 - 2.0 / s2 if s4 else math.inf
+    if value == math.inf:
+        raise DomainError(f"F_theta: theta={theta}: the value overflows a double")
+    return value
 
 
 def scalar_stress_rows(

@@ -14,7 +14,9 @@ results are reproducible bit for bit from run to run.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -90,6 +92,13 @@ def default_cutoff_schedule(dim_D: int, scale: float = 1.0) -> CutoffSchedule:
     return CutoffSchedule(alphas=alphas, fit_powers=tuple(range(dim_D, 0, -1)))
 
 
+def _check_green(name: str, kbar: float, z: float, zp: float, L: float) -> None:
+    if not (kbar > 0.0 and L > 0.0 and kbar * L < math.inf):
+        raise DomainError(f"{name}: requires kbar > 0, L > 0 and a finite kbar L")
+    if not (0.0 <= z <= L and 0.0 <= zp <= L):
+        raise DomainError(f"{name}: z and zp must lie in [0, L]")
+
+
 def green_closed(kbar: float, z: float, zp: float, L: float) -> float:
     """Dirichlet slab Green function of (-d^2/dz^2 + k^2) in closed form.
 
@@ -97,10 +106,7 @@ def green_closed(kbar: float, z: float, zp: float, L: float) -> float:
     hyperbolics are rewritten with the common exponential factored out
     so the evaluation never overflows.
     """
-    if not (kbar > 0.0 and L > 0.0):
-        raise DomainError("green_closed: requires kbar > 0 and L > 0")
-    if not (0.0 <= z <= L and 0.0 <= zp <= L):
-        raise DomainError("green_closed: z and zp must lie in [0, L]")
+    _check_green("green_closed", kbar, z, zp, L)
     lo, hi = (z, zp) if z <= zp else (zp, z)
     a = kbar * lo
     b = kbar * (L - hi)
@@ -113,7 +119,10 @@ def green_closed(kbar: float, z: float, zp: float, L: float) -> float:
             * (-math.expm1(-2.0 * b))
             / (2.0 * kbar * (-math.expm1(-2.0 * c)))
         )
-    return math.sinh(a) * math.sinh(b) / (kbar * math.sinh(c))
+    denom = kbar * math.sinh(c)
+    if denom < sys.float_info.min:  # about kbar^2 L; subnormal or 0 below kbar ~ 1e-154 at L = 1
+        raise DomainError(f"green_closed: kbar={kbar} too small; kbar sinh(kbar L) underflows")
+    return math.sinh(a) * math.sinh(b) / denom
 
 
 def green_mode_sum(
@@ -132,19 +141,26 @@ def green_mode_sum(
     the defining differential equation. Working memory: a few arrays of
     max_modes doubles.
     """
-    if not (kbar > 0.0 and L > 0.0):
-        raise DomainError("green_mode_sum: requires kbar > 0 and L > 0")
-    if not (0.0 <= z <= L and 0.0 <= zp <= L):
-        raise DomainError("green_mode_sum: z and zp must lie in [0, L]")
-    n = np.arange(1, budget.max_modes + 1, dtype=np.float64)
+    _check_green("green_mode_sum", kbar, z, zp, L)
     phase = np.pi / L
+    # The denominators rise with n from k^2 + phase^2; none may overflow, and
+    # the first must be large enough that no sum of max_modes terms can.
+    top = budget.max_modes * phase
+    low = kbar * kbar + phase * phase
+    if not (budget.max_modes < low * sys.float_info.max and kbar * kbar + top * top < math.inf):
+        raise DomainError(f"green_mode_sum: kbar={kbar} and L={L} put a term out of range")
+    extra = 0.0
+    if bc is not ScalarBC.DIRICHLET:
+        n0 = L * kbar * kbar  # the n = 0 term is its reciprocal
+        extra = 1.0 / n0 if n0 else math.inf
+        if extra == math.inf:
+            raise DomainError(f"green_mode_sum: kbar={kbar} too small; 1/(L kbar^2) overflows")
+    n = np.arange(1, budget.max_modes + 1, dtype=np.float64)
     denom = kbar * kbar + (n * phase) ** 2
     if bc is ScalarBC.DIRICHLET:
         terms = np.sin(n * (phase * z)) * np.sin(n * (phase * zp)) / denom
-        extra = 0.0
     else:
         terms = np.cos(n * (phase * z)) * np.cos(n * (phase * zp)) / denom
-        extra = 1.0 / (L * kbar * kbar)
     return (2.0 / L) * float(terms.sum()) + extra
 
 
@@ -161,6 +177,11 @@ def image_profile_sum(dim_D: int, x: float, budget: SeriesBudget) -> float:
         raise DomainError("image_profile_sum: requires D >= 2")
     if not 0.0 < x < 1.0:
         raise DomainError("image_profile_sum: x must lie strictly inside (0, 1)")
+    try:
+        # The largest term, that of the image nearest to x.
+        min(x, 1.0 - x) ** -float(dim_D)
+    except OverflowError:
+        raise DomainError(f"image_profile_sum: x={x} too close to a plate; x^-D overflows") from None
     j_cap = budget.max_images
     terms = np.arange(-j_cap, j_cap + 1, dtype=np.float64)
     terms += x
@@ -168,7 +189,10 @@ def image_profile_sum(dim_D: int, x: float, budget: SeriesBudget) -> float:
     np.power(terms, -float(dim_D), out=terms)
     total = float(terms.sum())
     if budget.tail_order >= 1:
-        total += 2.0 / ((dim_D - 1) * float(j_cap) ** (dim_D - 1))
+        try:
+            total += 2.0 / ((dim_D - 1) * float(j_cap) ** (dim_D - 1))
+        except OverflowError:
+            pass  # J^(D-1) overflows, so the tail lies far below the total's last bit
     return total
 
 
@@ -179,6 +203,10 @@ def _regulated_energy_d2(L: float, alpha: float) -> float:
     return math.pi / (8.0 * L * math.sinh(half_beta) ** 2)
 
 
+# The default schedule scaled by 2 shares six of its eight cutoffs bit for
+# bit with the unscaled one, so a regulator-independence check that fits
+# both evaluates ten energies, not sixteen. The cache holds only floats.
+@lru_cache(maxsize=64)
 def _regulated_energy_d3(L: float, alpha: float, max_modes: int) -> float:
     # One transverse continuum: E(alpha) = (1/2pi) sum_n m_n^2 g(alpha m_n)
     # with g(x) = int_0^inf cosh^2(t) e^(-x cosh t) dt. The substitution
@@ -228,10 +256,10 @@ def cutoff_casimir_energy(
             "cutoff schedule must span at least one decade in alpha"
         )
     if dim_D == 2:
-        energies = np.array([_regulated_energy_d2(L, a) for a in alphas])
+        energies = np.array([_regulated_energy_d2(L, a) for a in schedule.alphas])
     else:
         energies = np.array(
-            [_regulated_energy_d3(L, a, budget.max_modes) for a in alphas]
+            [_regulated_energy_d3(L, a, budget.max_modes) for a in schedule.alphas]
         )
     columns = [alphas ** (-float(p)) for p in schedule.fit_powers]
     columns.append(np.ones_like(alphas))

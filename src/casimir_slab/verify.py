@@ -305,11 +305,14 @@ def _check_single_plate(tol: float) -> list[CheckResult]:
 
 
 # The CLI process runs the first HEAD checks of the suite and one forked
-# worker the rest. Timed alone on 2 CPUs at full budgets (3 runs), classic
-# pressure and the f-profile dual forms take 145-186 ms of the suite's
-# 276-380 ms, about half; the other nine checks take the rest. The dual
-# forms are nine whole-array power passes, which cannot be split further
-# without changing bits.
+# worker the rest. Timed in their two processes on 2 CPUs at full budgets,
+# each with one BLAS thread (30 runs), classic pressure and the f-profile
+# dual forms take 110-163 ms (median 150) and the other nine 119-202 ms
+# (median 175). With HEAD = 3 the head, now with the Green-function check,
+# takes 120-188 ms (median 172) and the tail 99-178 ms (median 150): the
+# slower half is as slow, and the whole command was slower in 18 of 30
+# alternating pairs. The dual forms are nine whole-array power passes,
+# which cannot be split further without changing bits.
 HEAD = 2
 
 

@@ -19,7 +19,7 @@ from enum import Enum
 from casimir_slab import core, specfun
 from casimir_slab.core import EmBC, ScalarBC, Spacetime, Theory, TheoryKind
 
-DIGEST = "86992cecf4a340735ca78687a999e280eb606183b97cb819cc17cd4e0cefb467"
+DIGEST = "426be93fb11c39b42ab7c3adeb70a043474ad10185b2689d1d3b321d29081f84"
 
 # x = z/L near each plate, between them, and at the midpoint.
 _FRACTIONS = (1e-300, 1e-20, 1e-9, 2.0**-30, 1e-3, 0.01, 0.125, 0.3, 0.5,

@@ -335,6 +335,50 @@ def test_verify_failure_in_either_process_exits_1(capsys, monkeypatch, tmp_path,
     _assert_no_child_left()
 
 
+# Runs verify --quick in a fresh interpreter, then a matrix product large
+# enough for OpenBLAS to use every thread it has; prints the process's thread
+# count and the two thread variables as the CLI left them.
+_BLAS_PROBE = """
+import contextlib, io, os
+from casimir_slab import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify", "--quick"]) == 0
+import numpy
+a = numpy.ones((600, 600))
+a @ a
+print(len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"),
+      os.environ.get("OMP_NUM_THREADS"))
+"""
+
+_TWO_CPUS = pytest.mark.skipif(
+    not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs /proc/self/task and at least two usable CPUs",
+)
+
+
+def _blas_probe(**variables):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLAS_PROBE], capture_output=True, text=True, timeout=120,
+        env={**env, "PYTHONPATH": src, **variables},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+@_TWO_CPUS
+def test_two_process_verify_leaves_numpy_one_blas_thread():
+    # Unpinned, OpenBLAS would start a thread per CPU at the first product.
+    assert _blas_probe() == ["1", "1", "1"]
+
+
+@_TWO_CPUS
+def test_verify_keeps_a_blas_thread_count_the_user_set():
+    _, openblas, omp = _blas_probe(OPENBLAS_NUM_THREADS="3")
+    assert (openblas, omp) == ("3", "1")
+
+
 # ------------------------------------------------------- output contracts
 
 

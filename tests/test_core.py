@@ -640,10 +640,12 @@ def test_f_profile_domain(x):
 def test_shape_factor_values():
     assert core.F_theta(PI / 2) == 1.0
     assert rel_err(core.F_theta(PI / 4), 8.0) < 1e-13
-    with pytest.raises(DomainError):
-        core.F_theta(0.0)
-    with pytest.raises(DomainError):
-        core.F_theta(PI)
+    for theta in (0.0, PI, 1e-300, 5e-324, 1e-80):
+        with pytest.raises(DomainError):
+            core.F_theta(theta)
+    # just above the overflow the value is still a finite double
+    assert math.isfinite(core.F_theta(1.2e-77))
+    assert rel_err(core.F_theta(1e-76), 3e304) < 1e-13
 
 
 @given(st.floats(min_value=0.05, max_value=0.45))

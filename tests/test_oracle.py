@@ -79,11 +79,30 @@ def test_green_closed_overflow_guard_branch_agrees():
     assert 0.0 < big < 1e-30
 
 
+@pytest.mark.filterwarnings("error")  # numpy must not warn either
 def test_green_closed_domain():
     with pytest.raises(DomainError):
         oracle.green_closed(0.0, 0.3, 0.7, 1.0)
     with pytest.raises(DomainError):
         oracle.green_closed(1.0, -0.1, 0.7, 1.0)
+    # a non-finite k, L or k L, and a k whose k sinh(k L) underflows
+    for kbar, length in ((math.inf, 1.0), (1.0, math.inf), (1e200, 1e200), (1e-170, 1.0), (1e-160, 1.0)):
+        with pytest.raises(DomainError):
+            oracle.green_closed(kbar, 0.3 * length, 0.7 * length, length)
+    assert rel_err(oracle.green_closed(1e-150, 0.3, 0.7, 1.0), 0.09) < 1e-13
+    budget = oracle.SeriesBudget(max_modes=1000)
+    for kbar, length, bc in (
+        (math.inf, 1.0, ScalarBC.DIRICHLET),
+        (1e-170, 1.0, ScalarBC.NEUMANN),  # 1/(L k^2) divides by 0
+        (1e-160, 1.0, ScalarBC.NEUMANN),  # 1/(L k^2) overflows
+        (1.0, 1e-155, ScalarBC.DIRICHLET),  # (n pi/L)^2 overflows
+        (1e-170, 1e170, ScalarBC.DIRICHLET),  # k^2 + (pi/L)^2 underflows
+    ):
+        with pytest.raises(DomainError):
+            oracle.green_mode_sum(kbar, 0.3 * length, 0.7 * length, length, bc, budget)
+    # with Dirichlet walls a tiny k is harmless: the sum tends to the k = 0 Green function
+    got = oracle.green_mode_sum(1e-170, 0.3, 0.7, 1.0, ScalarBC.DIRICHLET, budget)
+    assert abs(got - 0.09) < 1e-5
 
 
 # --------------------------------------------------------------- mode sum
@@ -208,12 +227,20 @@ def test_image_sum_in_place_keeps_the_out_of_place_bits():
                 assert got.hex() == want.hex(), (budget, dim, x)
 
 
+@pytest.mark.filterwarnings("error")  # numpy must not warn either
 def test_image_sum_domain():
-    budget = oracle.SeriesBudget()
+    budget = oracle.SeriesBudget(max_images=1000)
     with pytest.raises(DomainError):
         oracle.image_profile_sum(4, 0.0, budget)
     with pytest.raises(DomainError):
         oracle.image_profile_sum(1, 0.5, budget)
+    # the nearest image's x^-D overflows
+    for dim, x in ((2, 1e-160), (2, 1e-300), (12, 1e-30), (24, 1.0 - 2.0**-52)):
+        with pytest.raises(DomainError):
+            oracle.image_profile_sum(dim, x, budget)
+    assert rel_err(oracle.image_profile_sum(2, 1e-150, budget), 1e300) < 1e-15
+    # J^(D-1) of the tail correction overflows; the tail itself is negligible
+    assert oracle.image_profile_sum(104, 0.5, budget) == 2.0**105
 
 
 # ----------------------------------------------------------------- cutoff
@@ -282,6 +309,27 @@ def test_regulated_energy_d3_in_place_keeps_the_out_of_place_bits():
                     got = oracle._regulated_energy_d3(length, alpha, max_modes)
                     want = _reference_regulated_energy_d3(length, alpha, max_modes)
                     assert got.hex() == want.hex(), (length, alpha, max_modes)
+
+
+def test_doubled_cutoff_schedule_shares_six_cutoffs_bit_for_bit():
+    # verify's regulator-independence check fits both schedules, at scale 1
+    # with full budgets and at scale 6 with --quick
+    for scale in (1.0, 6.0):
+        for dim in (2, 3):
+            default = oracle.default_cutoff_schedule(dim, scale).alphas
+            doubled = oracle.default_cutoff_schedule(dim, 2.0 * scale).alphas
+            assert len(set(map(float.hex, default)) & set(map(float.hex, doubled))) == 6
+
+
+def test_a_cutoff_check_evaluates_each_shared_d3_energy_once():
+    from casimir_slab import verify
+
+    for quick in (False, True):
+        (check,) = [c for c in verify.checks(quick) if c.func is verify._check_cutoff]
+        oracle._regulated_energy_d3.cache_clear()
+        check()
+        info = oracle._regulated_energy_d3.cache_info()
+        assert (info.misses, info.hits) == (10, 6), quick
 
 
 def test_cutoff_narrow_schedule_raises():
