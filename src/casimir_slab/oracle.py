@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _INTERIOR, _LEFT_EXTERIOR, _RIGHT_EXTERIOR, Profile, ScalarBC, Spacetime
+from .core import _INTERIOR, _LEFT_EXTERIOR, _RIGHT_EXTERIOR, Profile, ScalarBC
 from .errors import DomainError, IllConditionedFitError, InsufficientSamplesError
 
 __all__ = [
@@ -43,44 +43,35 @@ class SeriesBudget:
 
     max_images: int = 10**6
     max_modes: int = 10**4
-    tail_order: int = 1
 
     def __post_init__(self) -> None:
         if self.max_images < 10**3:
             raise ValueError("max_images must be at least 10^3")
         if self.max_modes < 10**3:
             raise ValueError("max_modes must be at least 10^3")
-        if self.tail_order < 0:
-            raise ValueError("tail_order must be non-negative")
 
 
 @dataclass(frozen=True)
 class CutoffSchedule:
-    """Exponential-regulator parameters and the divergences to remove.
+    """Exponential-regulator values, in units of the plate gap L.
 
-    alphas: strictly decreasing cutoff values; must span at least a
-    decade for the fit to be well conditioned. fit_powers: the powers of
-    1/alpha subtracted by least squares before reading off the constant.
+    alphas: finite, positive and strictly decreasing; they must span at
+    least a decade for the fit to be well conditioned.
     """
 
     alphas: tuple[float, ...]
-    fit_powers: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if len(self.alphas) < 4:
             raise ValueError("need at least 4 cutoff values")
-        if any(a <= 0.0 for a in self.alphas):
-            raise ValueError("cutoff values must be positive")
+        if not all(0.0 < a < math.inf for a in self.alphas):
+            raise ValueError("cutoff values must be positive and finite")
         if any(b >= a for a, b in zip(self.alphas, self.alphas[1:])):
             raise ValueError("cutoff values must be strictly decreasing")
-        if any(p < 1 for p in self.fit_powers):
-            raise ValueError("fit powers must all be >= 1")
-        if any(q >= p for p, q in zip(self.fit_powers, self.fit_powers[1:])):
-            raise ValueError("fit powers must be strictly decreasing")
 
 
-def default_cutoff_schedule(dim_D: int, scale: float = 1.0) -> CutoffSchedule:
-    """Eight regulator values from 0.014 down by factors of sqrt(2).
+def default_cutoff_schedule(*, scale: float = 1.0) -> CutoffSchedule:
+    """Eight regulator values from 0.014 L down by factors of sqrt(2).
 
     The range [0.0012, 0.014] (times `scale`) keeps the residual
     curvature of the regulated sum well below the extraction tolerance
@@ -88,8 +79,7 @@ def default_cutoff_schedule(dim_D: int, scale: float = 1.0) -> CutoffSchedule:
     that rescaling the whole schedule by 2 moves the answer by well
     under a part in 500.
     """
-    alphas = tuple(scale * 0.014 * 2.0 ** (-k / 2.0) for k in range(8))
-    return CutoffSchedule(alphas=alphas, fit_powers=tuple(range(dim_D, 0, -1)))
+    return CutoffSchedule(alphas=tuple(scale * 0.014 * 2.0 ** (-k / 2.0) for k in range(8)))
 
 
 def _check_green(name: str, kbar: float, z: float, zp: float, L: float) -> None:
@@ -139,8 +129,11 @@ def green_mode_sum(
     Dirichlet; cosines for Neumann plus the n = 0 term 1/(L k^2), which
     is finite at fixed k > 0 and required for the mode sum to satisfy
     the defining differential equation. Working memory: a few arrays of
-    max_modes doubles.
+    max_modes doubles. A bc other than a ScalarBC member raises
+    ValueError before any other check.
     """
+    if bc is not ScalarBC.DIRICHLET and bc is not ScalarBC.NEUMANN:
+        raise ValueError(f"green_mode_sum: bc must be a ScalarBC, got {bc!r}")
     _check_green("green_mode_sum", kbar, z, zp, L)
     phase = np.pi / L
     # The denominators rise with n from k^2 + phase^2; none may overflow, and
@@ -168,10 +161,10 @@ def image_profile_sum(dim_D: int, x: float, budget: SeriesBudget) -> float:
     """Direct image sum sum_j |j + x|^(-D) over |j| <= max_images.
 
     The discarded tail is replaced by its integral approximation
-    2 / ((D-1) J^(D-1)) when tail_order >= 1; with J = 10^6 the residual
-    beyond that correction is far below 1e-12 for every D >= 3. Working
-    memory: one array of 2 max_images + 1 doubles (16 MB at the default
-    budget), which every step updates in place.
+    2 / ((D-1) J^(D-1)); with J = 10^6 the residual beyond that
+    correction is far below 1e-12 for every D >= 3. Working memory: one
+    array of 2 max_images + 1 doubles (16 MB at the default budget),
+    which every step updates in place.
     """
     if dim_D < 2:
         raise DomainError("image_profile_sum: requires D >= 2")
@@ -188,34 +181,34 @@ def image_profile_sum(dim_D: int, x: float, budget: SeriesBudget) -> float:
     np.abs(terms, out=terms)
     np.power(terms, -float(dim_D), out=terms)
     total = float(terms.sum())
-    if budget.tail_order >= 1:
-        try:
-            total += 2.0 / ((dim_D - 1) * float(j_cap) ** (dim_D - 1))
-        except OverflowError:
-            pass  # J^(D-1) overflows, so the tail lies far below the total's last bit
+    try:
+        total += 2.0 / ((dim_D - 1) * float(j_cap) ** (dim_D - 1))
+    except OverflowError:
+        pass  # J^(D-1) overflows, so the tail lies far below the total's last bit
     return total
 
 
-def _regulated_energy_d2(L: float, alpha: float) -> float:
-    # 1/2 sum_n omega_n e^(-alpha omega_n) with omega_n = n pi / L, in
-    # closed form: pi / (8 L sinh^2(alpha pi / 2L)).
-    half_beta = 0.5 * alpha * math.pi / L
-    return math.pi / (8.0 * L * math.sinh(half_beta) ** 2)
+def _regulated_energy_d2(alpha: float) -> float:
+    # 1/2 sum_n omega_n e^(-alpha omega_n) with omega_n = n pi at L = 1, in
+    # closed form: pi / (8 sinh^2(alpha pi / 2)).
+    half_beta = 0.5 * alpha * math.pi
+    return math.pi / (8.0 * math.sinh(half_beta) ** 2)
 
 
 # The default schedule scaled by 2 shares six of its eight cutoffs bit for
 # bit with the unscaled one, so a regulator-independence check that fits
 # both evaluates ten energies, not sixteen. The cache holds only floats.
 @lru_cache(maxsize=64)
-def _regulated_energy_d3(L: float, alpha: float, max_modes: int) -> float:
-    # One transverse continuum: E(alpha) = (1/2pi) sum_n m_n^2 g(alpha m_n)
-    # with g(x) = int_0^inf cosh^2(t) e^(-x cosh t) dt. The substitution
-    # makes the integrand decay double-exponentially, so a plain
-    # trapezoid rule on a fixed t grid converges to machine precision.
-    mu = math.pi / L
-    n_needed = int(math.ceil(45.0 / (alpha * mu)))
-    n_max = min(n_needed, max_modes)
-    m = mu * np.arange(1, n_max + 1, dtype=np.float64)
+def _regulated_energy_d3(alpha: float, max_modes: int) -> float:
+    # One transverse continuum at L = 1: E(alpha) = (1/2pi) sum_n m_n^2
+    # g(alpha m_n) with m_n = n pi and g(x) = int_0^inf cosh^2(t) e^(-x cosh t)
+    # dt, over the modes with alpha m_n <= 45. The substitution makes the
+    # integrand decay double-exponentially, so a plain trapezoid rule on a
+    # fixed t grid converges to machine precision.
+    n_max = math.ceil(45.0 / (alpha * math.pi))
+    if n_max > max_modes:
+        raise DomainError(f"cutoff_casimir_energy: alpha={alpha} needs {n_max} modes > {max_modes}")
+    m = math.pi * np.arange(1, n_max + 1, dtype=np.float64)
     x = alpha * m
     h = 0.15
     t_top = math.acosh(745.0 / float(x[0])) + h
@@ -236,37 +229,47 @@ def cutoff_casimir_energy(
 ) -> float:
     """Finite part of the exponentially regulated zero-point energy.
 
-    Evaluates E(alpha) = 1/2 sum_n (int) omega e^(-alpha omega) on the
-    schedule's cutoffs, removes the divergent 1/alpha^p terms by least
-    squares and returns the remaining constant: an extraction of the
-    (per-area) vacuum energy that never touches zeta continuation.
-    Supported for D = 2 (pure mode sum, closed form) and D = 3 (one
-    transverse integral per mode, done by quadrature). Working memory at
-    D = 3: one array of n modes x the quadrature nodes, with
-    n = min(ceil(45 L / (pi alpha)), max_modes); at the smallest default
-    cutoff with L = 1 that is 11576 x 87 doubles (8 MB).
+    Evaluates E(alpha) = 1/2 sum_n (int) omega e^(-alpha omega) at L = 1
+    on the schedule's cutoffs, which are in units of L, removes the
+    divergent 1/alpha^p terms (p = D, ..., 1) by least squares and
+    returns the remaining constant times the exact L^-(D-1): an
+    extraction of the (per-area) vacuum energy that never touches zeta
+    continuation. Supported for D = 2 (pure mode sum, closed form) and
+    D = 3 (one transverse integral per mode, done by quadrature).
+    DomainError if L^-(D-1) is not a normal double, if a cutoff exceeds
+    745 / pi, or if D = 3 needs more than max_modes modes. Working
+    memory at D = 3: ceil(45 / (pi alpha)) modes x the quadrature nodes;
+    at the smallest default cutoff, 11576 x 87 doubles (8 MB).
     """
     if dim_D not in (2, 3):
         raise DomainError("cutoff_casimir_energy: only D in {2, 3} is supported")
     if not L > 0.0:
         raise DomainError("cutoff_casimir_energy: requires L > 0")
+    try:
+        factor = L ** (1 - dim_D)
+    except OverflowError:
+        factor = math.inf
+    if not sys.float_info.min <= factor < math.inf:
+        raise DomainError(f"cutoff_casimir_energy: L={L} puts L^-(D-1) out of the normal range")
+    if schedule.alphas[0] * math.pi > 745.0:
+        raise DomainError(f"cutoff_casimir_energy: alpha={schedule.alphas[0]} is too large")
     alphas = np.asarray(schedule.alphas, dtype=np.float64)
     if float(alphas.max() / alphas.min()) < 10.0:
         raise IllConditionedFitError(
             "cutoff schedule must span at least one decade in alpha"
         )
     if dim_D == 2:
-        energies = np.array([_regulated_energy_d2(L, a) for a in schedule.alphas])
+        energies = np.array([_regulated_energy_d2(a) for a in schedule.alphas])
     else:
         energies = np.array(
-            [_regulated_energy_d3(L, a, budget.max_modes) for a in schedule.alphas]
+            [_regulated_energy_d3(a, budget.max_modes) for a in schedule.alphas]
         )
-    columns = [alphas ** (-float(p)) for p in schedule.fit_powers]
+    columns = [alphas ** (-float(p)) for p in range(dim_D, 0, -1)]
     columns.append(np.ones_like(alphas))
     design = np.column_stack(columns)
     norms = np.linalg.norm(design, axis=0)
     coef, *_ = np.linalg.lstsq(design / norms, energies, rcond=None)
-    return float(coef[-1] / norms[-1])
+    return float(coef[-1] / norms[-1]) * factor
 
 
 @dataclass(frozen=True)
@@ -288,7 +291,7 @@ def _simpson_uniform(y: Sequence[float], h: float) -> float:
     return _simpson_uniform(y[:-1], h) + h * (5.0 * y[-1] + 8.0 * y[-2] - y[-3]) / 12.0
 
 
-def profile_energy_integral(profile: Profile, st: Spacetime) -> ProfileEnergy:
+def profile_energy_integral(profile: Profile) -> ProfileEnergy:
     """Integrated energy density of a subtracted-profile sample set.
 
     Interior: composite Simpson quadrature over the uniformly spaced
@@ -297,10 +300,11 @@ def profile_energy_integral(profile: Profile, st: Spacetime) -> ProfileEnergy:
     Exterior: the sampled values pin the |distance|^-D power-law
     coefficient on each side, and the tail integrates analytically to
     coefficient * L / (D-1); no numeric truncation is involved.
-    Working memory: a few lists and arrays of the sample count.
+    D and L are the profile's own. Working memory: a few lists and
+    arrays of the sample count.
     """
-    length = st.plate_gap_L
-    dim = st.dim_D
+    length = profile.spacetime.plate_gap_L
+    dim = profile.spacetime.dim_D
     interior = [s for s in profile.samples if s.region is _INTERIOR]
     if len(interior) < 256:
         raise InsufficientSamplesError(

@@ -67,11 +67,11 @@ def test_criterion_02_cutoff_validates_zeta_continuation(capsys):
             st, Theory(TheoryKind.SCALAR_CANONICAL, ScalarBC.DIRICHLET)
         )
         got = oracle.cutoff_casimir_energy(
-            dim, 1.0, oracle.default_cutoff_schedule(dim), budget
+            dim, 1.0, oracle.default_cutoff_schedule(), budget
         )
         worst = max(worst, rel_err(got, want))
         rescaled = oracle.cutoff_casimir_energy(
-            dim, 1.0, oracle.default_cutoff_schedule(dim, scale=2.0), budget
+            dim, 1.0, oracle.default_cutoff_schedule(scale=2.0), budget
         )
         drift = max(drift, rel_err(rescaled, got))
     elapsed = time.perf_counter() - t0
@@ -240,7 +240,7 @@ def test_criterion_09_subtracted_energy_cancellation(capsys):
             + [1.0 + (i + 0.5) / n_ext for i in range(n_ext)]
         )
         prof = core.subtracted_profile(st, EmBC.METALLIC, grid)
-        split = oracle.profile_energy_integral(prof, st)
+        split = oracle.profile_energy_integral(prof)
         want = core.total_energy_per_area(st, MAXWELL_METALLIC)
         worst = max(worst, rel_err(split.total, want))
         slowest = max(slowest, time.perf_counter() - t0)

@@ -35,19 +35,25 @@ def test_series_budget_validation():
         oracle.SeriesBudget(max_images=100)
     with pytest.raises(ValueError):
         oracle.SeriesBudget(max_modes=10)
-    with pytest.raises(ValueError):
-        oracle.SeriesBudget(tail_order=-1)
 
 
 def test_cutoff_schedule_validation():
     with pytest.raises(ValueError):
-        oracle.CutoffSchedule(alphas=(0.1, 0.05, 0.01), fit_powers=(2, 1))
+        oracle.CutoffSchedule(alphas=(0.1, 0.05, 0.01))
     with pytest.raises(ValueError):
-        oracle.CutoffSchedule(alphas=(0.1, 0.2, 0.05, 0.01), fit_powers=(2, 1))
-    with pytest.raises(ValueError):
-        oracle.CutoffSchedule(alphas=(0.1, 0.05, 0.02, 0.01), fit_powers=(1, 2))
-    with pytest.raises(ValueError):
-        oracle.CutoffSchedule(alphas=(0.1, 0.05, 0.02, 0.01), fit_powers=(2, 0))
+        oracle.CutoffSchedule(alphas=(0.1, 0.2, 0.05, 0.01))
+
+
+def test_cutoff_schedule_rejects_non_finite_cutoffs():
+    # an inf once gave a wrong constant, and a nan a LAPACK error
+    for bad in (math.inf, math.nan):
+        for alphas in ((bad, 0.01, 0.005, 0.001), (0.1, 0.01, 0.005, bad)):
+            with pytest.raises(ValueError):
+                oracle.CutoffSchedule(alphas=alphas)
+        with pytest.raises(ValueError):
+            oracle.default_cutoff_schedule(scale=bad)
+    with pytest.raises(TypeError):  # scale is keyword-only; 3 once meant scale 3
+        oracle.default_cutoff_schedule(3)
 
 
 # ----------------------------------------------------------- green closed
@@ -106,6 +112,16 @@ def test_green_closed_domain():
 
 
 # --------------------------------------------------------------- mode sum
+
+
+def test_green_mode_sum_rejects_an_invalid_bc_before_any_other_check():
+    # Each of these once gave the Neumann sum, 0.19374 for the Dirichlet 0.05588.
+    budget = oracle.SeriesBudget(max_modes=1000)
+    for bad in (EmBC.METALLIC, "dirichlet", None):
+        for kbar in (2.0, -1.0):
+            with pytest.raises(ValueError, match=f"got {bad!r}$") as info:
+                oracle.green_mode_sum(kbar, 0.3, 0.7, 1.0, bad, budget)
+            assert type(info.value) is ValueError
 
 
 def test_green_mode_sum_matches_closed_form():
@@ -194,30 +210,19 @@ def test_image_sum_agrees_with_closed_profile():
             assert rel_err(oracle.image_profile_sum(dim, x, budget), core.f_profile(st, x)) < 1e-10
 
 
-def test_image_sum_tail_order_zero_is_worse_but_close():
-    with_tail = oracle.image_profile_sum(3, 0.5, oracle.SeriesBudget(max_images=10**4))
-    without = oracle.image_profile_sum(
-        3, 0.5, oracle.SeriesBudget(max_images=10**4, tail_order=0)
-    )
-    want = core.f_profile(Spacetime(3, 1.0), 0.5)
-    assert rel_err(with_tail, want) < rel_err(without, want)
-
-
 def _reference_image_profile_sum(dim_D, x, budget):
     # the out-of-place expression image_profile_sum evaluates in one buffer
     j_cap = budget.max_images
     j = np.arange(-j_cap, j_cap + 1, dtype=np.float64)
     total = float((np.abs(j + x) ** (-float(dim_D))).sum())
-    if budget.tail_order >= 1:
-        total += 2.0 / ((dim_D - 1) * float(j_cap) ** (dim_D - 1))
-    return total
+    return total + 2.0 / ((dim_D - 1) * float(j_cap) ** (dim_D - 1))
 
 
 def test_image_sum_in_place_keeps_the_out_of_place_bits():
     budgets = (
         oracle.SeriesBudget(),
         oracle.SeriesBudget(max_images=1000),
-        oracle.SeriesBudget(max_images=1001, tail_order=0),
+        oracle.SeriesBudget(max_images=1001),
     )
     for budget in budgets:
         for dim in range(2, 13):
@@ -251,20 +256,20 @@ CUTOFF_BUDGET = oracle.SeriesBudget(max_modes=40000)
 
 def test_cutoff_energy_d2():
     want = -PI / 24
-    got = oracle.cutoff_casimir_energy(2, 1.0, oracle.default_cutoff_schedule(2), CUTOFF_BUDGET)
+    got = oracle.cutoff_casimir_energy(2, 1.0, oracle.default_cutoff_schedule(), CUTOFF_BUDGET)
     assert rel_err(got, want) < 1e-3
 
 
 def test_cutoff_energy_d2_length_scaling():
     want = -PI / 48
-    got = oracle.cutoff_casimir_energy(2, 2.0, oracle.default_cutoff_schedule(2), CUTOFF_BUDGET)
+    got = oracle.cutoff_casimir_energy(2, 2.0, oracle.default_cutoff_schedule(), CUTOFF_BUDGET)
     assert rel_err(got, want) < 1e-3
 
 
 def test_cutoff_energy_d3():
     # frozen from the direct sum: zeta(3) = 1.2020569031595943
     want = -1.2020569031595943 / (16 * PI)
-    got = oracle.cutoff_casimir_energy(3, 1.0, oracle.default_cutoff_schedule(3), CUTOFF_BUDGET)
+    got = oracle.cutoff_casimir_energy(3, 1.0, oracle.default_cutoff_schedule(), CUTOFF_BUDGET)
     assert rel_err(got, want) < 1e-3
 
 
@@ -272,23 +277,23 @@ def test_cutoff_energy_matches_zeta_route():
     for dim in (2, 3):
         st = Spacetime(dim, 1.0)
         want = core.total_energy_per_area(st, Theory(TheoryKind.SCALAR_CANONICAL, ScalarBC.DIRICHLET))
-        got = oracle.cutoff_casimir_energy(dim, 1.0, oracle.default_cutoff_schedule(dim), CUTOFF_BUDGET)
+        got = oracle.cutoff_casimir_energy(dim, 1.0, oracle.default_cutoff_schedule(), CUTOFF_BUDGET)
         assert rel_err(got, want) < 1e-3
 
 
 def test_cutoff_energy_regulator_independence():
     for dim in (2, 3):
-        a = oracle.cutoff_casimir_energy(dim, 1.0, oracle.default_cutoff_schedule(dim), CUTOFF_BUDGET)
+        a = oracle.cutoff_casimir_energy(dim, 1.0, oracle.default_cutoff_schedule(), CUTOFF_BUDGET)
         b = oracle.cutoff_casimir_energy(
-            dim, 1.0, oracle.default_cutoff_schedule(dim, scale=2.0), CUTOFF_BUDGET
+            dim, 1.0, oracle.default_cutoff_schedule(scale=2.0), CUTOFF_BUDGET
         )
         assert rel_err(b, a) < 2e-3
 
 
-def _reference_regulated_energy_d3(L, alpha, max_modes):
+def _reference_regulated_energy_d3(alpha):
     # the out-of-place expression oracle._regulated_energy_d3 evaluates in one buffer
-    mu = math.pi / L
-    n_max = min(int(math.ceil(45.0 / (alpha * mu))), max_modes)
+    mu = math.pi
+    n_max = int(math.ceil(45.0 / (alpha * mu)))
     m = mu * np.arange(1, n_max + 1, dtype=np.float64)
     x = alpha * m
     h = 0.15
@@ -302,13 +307,18 @@ def _reference_regulated_energy_d3(L, alpha, max_modes):
 
 
 def test_regulated_energy_d3_in_place_keeps_the_out_of_place_bits():
+    # at L = 1, on the cutoffs in units of L of the default schedules at
+    # L = 0.37 and 2.5 too, with each budget that holds the modes
     for length in (1.0, 0.37, 2.5):
         for scale in (1.0, 2.0, 6.0, 12.0):
-            for alpha in oracle.default_cutoff_schedule(3, scale).alphas:
+            for alpha in oracle.default_cutoff_schedule(scale=scale).alphas:
+                alpha /= length
                 for max_modes in (2000, 40000):
-                    got = oracle._regulated_energy_d3(length, alpha, max_modes)
-                    want = _reference_regulated_energy_d3(length, alpha, max_modes)
-                    assert got.hex() == want.hex(), (length, alpha, max_modes)
+                    if math.ceil(45.0 / (alpha * PI)) > max_modes:
+                        continue
+                    got = oracle._regulated_energy_d3(alpha, max_modes)
+                    want = _reference_regulated_energy_d3(alpha)
+                    assert got.hex() == want.hex(), (alpha, max_modes)
 
 
 def test_doubled_cutoff_schedule_shares_six_cutoffs_bit_for_bit():
@@ -316,8 +326,8 @@ def test_doubled_cutoff_schedule_shares_six_cutoffs_bit_for_bit():
     # with full budgets and at scale 6 with --quick
     for scale in (1.0, 6.0):
         for dim in (2, 3):
-            default = oracle.default_cutoff_schedule(dim, scale).alphas
-            doubled = oracle.default_cutoff_schedule(dim, 2.0 * scale).alphas
+            default = oracle.default_cutoff_schedule(scale=scale).alphas
+            doubled = oracle.default_cutoff_schedule(scale=2.0 * scale).alphas
             assert len(set(map(float.hex, default)) & set(map(float.hex, doubled))) == 6
 
 
@@ -333,14 +343,48 @@ def test_a_cutoff_check_evaluates_each_shared_d3_energy_once():
 
 
 def test_cutoff_narrow_schedule_raises():
-    sched = oracle.CutoffSchedule(alphas=(0.02, 0.015, 0.012, 0.01), fit_powers=(2, 1))
+    sched = oracle.CutoffSchedule(alphas=(0.02, 0.015, 0.012, 0.01))
     with pytest.raises(IllConditionedFitError):
         oracle.cutoff_casimir_energy(2, 1.0, sched, CUTOFF_BUDGET)
 
 
 def test_cutoff_unsupported_dimension():
     with pytest.raises(DomainError):
-        oracle.cutoff_casimir_energy(4, 1.0, oracle.default_cutoff_schedule(4), CUTOFF_BUDGET)
+        oracle.cutoff_casimir_energy(4, 1.0, oracle.default_cutoff_schedule(), CUTOFF_BUDGET)
+
+
+def _cutoff_residual(dim, length):
+    st = Spacetime(dim, length)
+    want = core.total_energy_per_area(st, Theory(TheoryKind.SCALAR_CANONICAL, ScalarBC.DIRICHLET))
+    sched = oracle.default_cutoff_schedule()
+    return rel_err(oracle.cutoff_casimir_energy(dim, length, sched, CUTOFF_BUDGET), want)
+
+
+def test_cutoff_energy_is_the_same_fit_at_every_length():
+    # The cutoffs are in units of L, so only the exact factor L^-(D-1)
+    # depends on L. Unscaled cutoffs once gave +5.08 for -130.9 at D = 2,
+    # L = 1e-3, and a truncated mode sum +1.13e7 for -2.66e-5 at D = 3, L = 30.
+    for dim, residual in ((2, "8.97e-05"), (3, "2.76e-04")):
+        for length in (1.0, 1e-3, 0.37, 7.5, 30.0, 1e3):
+            assert f"{_cutoff_residual(dim, length):.2e}" == residual, (dim, length)
+
+
+@pytest.mark.filterwarnings("error")  # numpy must not warn either
+def test_cutoff_energy_domain():
+    sched = oracle.default_cutoff_schedule()
+    # the largest default cutoff, 0.014 L, needs 1024 modes
+    with pytest.raises(DomainError, match="needs 1024 modes"):
+        oracle.cutoff_casimir_energy(3, 1.0, sched, oracle.SeriesBudget(max_modes=1000))
+    # L^-2 overflows, underflows to 0 or is subnormal
+    for length in (1e-300, 1e300, 5e-324, 1e160):
+        with pytest.raises(DomainError):
+            oracle.cutoff_casimir_energy(3, length, sched, CUTOFF_BUDGET)
+    assert math.isfinite(oracle.cutoff_casimir_energy(3, 1e150, sched, CUTOFF_BUDGET))
+    # e^(-alpha pi) of the first mode is below the least double
+    huge = oracle.default_cutoff_schedule(scale=2e4)
+    for dim in (2, 3):
+        with pytest.raises(DomainError):
+            oracle.cutoff_casimir_energy(dim, 1.0, huge, CUTOFF_BUDGET)
 
 
 # ---------------------------------------------------- finite differences
@@ -393,8 +437,8 @@ def _subtracted(dim, n_interior=1025, n_ext=32, length=1.0):
 
 
 def test_profile_energy_d4_splits():
-    st, prof = _subtracted(4)
-    split = oracle.profile_energy_integral(prof, st)
+    _, prof = _subtracted(4)
+    split = oracle.profile_energy_integral(prof)
     assert split.exterior == 0.0
     assert rel_err(split.interior, -PI**2 / 720) < 1e-8
     assert rel_err(split.total, -PI**2 / 720) < 1e-8
@@ -402,25 +446,32 @@ def test_profile_energy_d4_splits():
 
 def test_profile_energy_cancellation_d6():
     st, prof = _subtracted(6)
-    split = oracle.profile_energy_integral(prof, st)
+    split = oracle.profile_energy_integral(prof)
     want = core.total_energy_per_area(st, Theory(TheoryKind.MAXWELL, EmBC.METALLIC))
     assert rel_err(split.total, want) < 1e-6
     # the z-dependent pieces cancel between interior and exterior
     assert split.exterior != 0.0
 
 
+def test_profile_energy_reads_d_and_l_from_the_profile():
+    for dim, length in ((6, 2.5), (7, 0.4)):
+        st, prof = _subtracted(dim, length=length)
+        want = core.total_energy_per_area(st, Theory(TheoryKind.MAXWELL, EmBC.METALLIC))
+        assert rel_err(oracle.profile_energy_integral(prof).total, want) < 1e-6
+
+
 def test_profile_energy_sample_doubling_stability():
-    st, prof1 = _subtracted(6, n_interior=1025)
+    _, prof1 = _subtracted(6, n_interior=1025)
     _, prof2 = _subtracted(6, n_interior=2049)
-    a = oracle.profile_energy_integral(prof1, st).total
-    b = oracle.profile_energy_integral(prof2, st).total
+    a = oracle.profile_energy_integral(prof1).total
+    b = oracle.profile_energy_integral(prof2).total
     assert rel_err(b, a) < 1e-8
 
 
 def test_profile_energy_insufficient_samples():
-    st, prof = _subtracted(6, n_interior=100)
+    _, prof = _subtracted(6, n_interior=100)
     with pytest.raises(InsufficientSamplesError):
-        oracle.profile_energy_integral(prof, st)
+        oracle.profile_energy_integral(prof)
 
 
 def test_profile_energy_requires_uniform_grid():
@@ -429,4 +480,4 @@ def test_profile_energy_requires_uniform_grid():
     grid = sorted(float(z) for z in rng.uniform(0.01, 0.99, size=300))
     prof = core.subtracted_profile(st, EmBC.METALLIC, grid)
     with pytest.raises(InsufficientSamplesError):
-        oracle.profile_energy_integral(prof, st)
+        oracle.profile_energy_integral(prof)
