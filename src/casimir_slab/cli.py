@@ -322,16 +322,14 @@ _EM_BCS = {b.value: b for b in EmBC}
 def _build_theory(kind_name: str, bc_name: str | None) -> Theory:
     kind = _THEORY_KINDS[kind_name]
     if kind is TheoryKind.MAXWELL:
-        if bc_name is None:
-            bc_name = EmBC.METALLIC.value
-        if bc_name not in _EM_BCS:
-            raise UsageError(f"--bc: {bc_name!r} is not valid for Maxwell theory")
-        return Theory(kind, _EM_BCS[bc_name])
+        bcs, default, name = _EM_BCS, EmBC.METALLIC, "Maxwell theory"
+    else:
+        bcs, default, name = _SCALAR_BCS, ScalarBC.DIRICHLET, "a scalar theory"
     if bc_name is None:
-        bc_name = ScalarBC.DIRICHLET.value
-    if bc_name not in _SCALAR_BCS:
-        raise UsageError(f"--bc: {bc_name!r} is not valid for a scalar theory")
-    return Theory(kind, _SCALAR_BCS[bc_name])
+        bc_name = default.value
+    if bc_name not in bcs:
+        raise UsageError(f"--bc: {bc_name!r} is not valid for {name}")
+    return Theory(kind, bcs[bc_name])
 
 
 def _spacetime(dim: int, length: float) -> Spacetime:
@@ -342,17 +340,15 @@ def _spacetime(dim: int, length: float) -> Spacetime:
         raise UsageError(f"{field}: {exc}") from exc
 
 
-def _base_config(args: argparse.Namespace, th: Theory | None = None) -> dict[str, object]:
-    cfg: dict[str, object] = {
+def _base_config(args: argparse.Namespace, th: Theory) -> dict[str, object]:
+    return {
         "command": args.command,
         "dim": args.dim,
         "length": _round12(args.length),
         "units": UNITS,
+        "theory": th.kind.value,
+        "bc": th.bc.value,
     }
-    if th is not None:
-        cfg["theory"] = th.kind.value
-        cfg["bc"] = th.bc.value
-    return cfg
 
 
 def _cmd_pressure(args: argparse.Namespace) -> int:
@@ -438,12 +434,10 @@ def _cmd_fluctuations(args: argparse.Namespace) -> int:
     st = _spacetime(args.dim, args.length)
     if st.dim_D < 3:
         raise UsageError("--dim: fluctuations need D >= 3 (no transverse direction at D=2)")
-    bc = _EM_BCS[args.bc or EmBC.METALLIC.value]
+    th = _build_theory(TheoryKind.MAXWELL.value, args.bc)
     grid, points = place(st.plate_gap_L)
-    table = (grid, points, lambda zs: [zs, *zip(*core.em_fluctuations_rows(st, bc, zs))])
-    config = _base_config(args)
-    config["theory"] = TheoryKind.MAXWELL.value
-    config["bc"] = bc.value
+    table = (grid, points, lambda zs: [zs, *zip(*core.em_fluctuations_rows(st, th.bc, zs))])
+    config = _base_config(args, th)
     config["samples"] = args.samples
     columns = ["z", "Ez2", "Ei2", "Biz2", "Bij2"]
     _render(config, columns, table, args.format, args.output)

@@ -422,12 +422,15 @@ def field_invariant(fl: FieldFluctuations, dim_D: int) -> float:
     transverse pairs twice (antisymmetry), the invariant is
 
         F^2 = -2 [(D-2) ei2 + ez2] + 2 (D-2) biz2 + (D-2)(D-3) bij2.
+
+    Raises DomainError where that sum is not a finite double.
     """
     dof = dim_D - 2
-    return (
+    return _finite(
         -2.0 * (dof * fl.ei2 + fl.ez2)
         + 2.0 * dof * fl.biz2
-        + dof * (dim_D - 3) * fl.bij2
+        + dof * (dim_D - 3) * fl.bij2,
+        dim_D,
     )
 
 
@@ -483,6 +486,9 @@ def subtracted_rows(st: Spacetime, bc: EmBC, grid: Iterable[float]) -> list[tupl
     pre = -(dim - 2) * scale
     tzz_interior = ((dim - 2) * (dim - 1)) * -(scale * zeta)
     zs = sorted(grid)
+    # Without a NaN, which the loop rejects, sorting puts an infinity at an end.
+    if zs and (zs[0] == -math.inf or zs[-1] == math.inf):
+        raise DomainError("subtracted_profile: grid points must be finite")
     xs = [z / length for z in zs if 0.0 < z < length]
     profile = _image_profile(dim, [1.0 + x for x in xs] + [2.0 - x for x in xs])
     rows = []

@@ -102,9 +102,11 @@ def green_closed(kbar: float, z: float, zp: float, L: float) -> float:
     b = kbar * (L - hi)
     c = kbar * L
     if c > 700.0:
-        # sinh(a) sinh(b) / sinh(c) = e^(a+b-c) (1-e^-2a)(1-e^-2b)/(2 (1-e^-2c))
+        # sinh(a) sinh(b) / sinh(c) = e^(a+b-c) (1-e^-2a)(1-e^-2b)/(2 (1-e^-2c)),
+        # with a + b - c = kbar (lo - hi) <= 0; summing a, b and -c could
+        # cancel to a rounding error above 709, where exp overflows
         return (
-            math.exp(a + b - c)
+            math.exp(kbar * (lo - hi))
             * (-math.expm1(-2.0 * a))
             * (-math.expm1(-2.0 * b))
             / (2.0 * kbar * (-math.expm1(-2.0 * c)))
@@ -166,8 +168,8 @@ def image_profile_sum(dim_D: int, x: float, budget: SeriesBudget) -> float:
     array of 2 max_images + 1 doubles (16 MB at the default budget),
     which every step updates in place.
     """
-    if dim_D < 2:
-        raise DomainError("image_profile_sum: requires D >= 2")
+    if not 2 <= dim_D < math.inf:
+        raise DomainError(f"image_profile_sum: requires a finite D >= 2, got {dim_D}")
     if not 0.0 < x < 1.0:
         raise DomainError("image_profile_sum: x must lie strictly inside (0, 1)")
     try:
@@ -179,8 +181,11 @@ def image_profile_sum(dim_D: int, x: float, budget: SeriesBudget) -> float:
     terms = np.arange(-j_cap, j_cap + 1, dtype=np.float64)
     terms += x
     np.abs(terms, out=terms)
-    np.power(terms, -float(dim_D), out=terms)
-    total = float(terms.sum())
+    with np.errstate(over="ignore"):  # an infinite total is rejected below
+        np.power(terms, -float(dim_D), out=terms)
+        total = float(terms.sum())
+    if total == math.inf:  # two terms near the largest double, at a D above 1000
+        raise DomainError(f"image_profile_sum: the sum overflows a double at D={dim_D}, x={x}")
     try:
         total += 2.0 / ((dim_D - 1) * float(j_cap) ** (dim_D - 1))
     except OverflowError:
@@ -224,6 +229,13 @@ def _regulated_energy_d3(alpha: float, max_modes: int) -> float:
     return float((m * m * g).sum()) / (2.0 * math.pi)
 
 
+# The most that rounding the largest regulated energy alone may move the fitted
+# constant, relative to it: 2^-52 max|E(alpha)| / |constant|. On verify's
+# schedules this is at most 7.8e-7 (D = 3, scale 1); at D = 2 the default
+# schedule scaled by 1e-3 reaches 1.8e-4 and misses the constant by 1.4e-4.
+_ROUNDING_BOUND = 1e-5
+
+
 def cutoff_casimir_energy(
     dim_D: int, L: float, schedule: CutoffSchedule, budget: SeriesBudget
 ) -> float:
@@ -237,7 +249,9 @@ def cutoff_casimir_energy(
     continuation. Supported for D = 2 (pure mode sum, closed form) and
     D = 3 (one transverse integral per mode, done by quadrature).
     DomainError if L^-(D-1) is not a normal double, if a cutoff exceeds
-    745 / pi, or if D = 3 needs more than max_modes modes. Working
+    700 / pi, if D = 3 needs more than max_modes modes, or if the
+    cutoffs are so small that rounding swamps the constant: where
+    2^-52 max|E(alpha)| exceeds 1e-5 times its magnitude. Working
     memory at D = 3: ceil(45 / (pi alpha)) modes x the quadrature nodes;
     at the smallest default cutoff, 11576 x 87 doubles (8 MB).
     """
@@ -251,25 +265,36 @@ def cutoff_casimir_energy(
         factor = math.inf
     if not sys.float_info.min <= factor < math.inf:
         raise DomainError(f"cutoff_casimir_energy: L={L} puts L^-(D-1) out of the normal range")
-    if schedule.alphas[0] * math.pi > 745.0:
+    if schedule.alphas[0] * math.pi > 700.0:
         raise DomainError(f"cutoff_casimir_energy: alpha={schedule.alphas[0]} is too large")
-    alphas = np.asarray(schedule.alphas, dtype=np.float64)
-    if float(alphas.max() / alphas.min()) < 10.0:
+    if schedule.alphas[0] / schedule.alphas[-1] < 10.0:
         raise IllConditionedFitError(
             "cutoff schedule must span at least one decade in alpha"
         )
-    if dim_D == 2:
-        energies = np.array([_regulated_energy_d2(a) for a in schedule.alphas])
-    else:
-        energies = np.array(
-            [_regulated_energy_d3(a, budget.max_modes) for a in schedule.alphas]
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if dim_D == 2:
+                energies = np.array([_regulated_energy_d2(a) for a in schedule.alphas])
+            else:
+                energies = np.array(
+                    [_regulated_energy_d3(a, budget.max_modes) for a in schedule.alphas]
+                )
+            alphas = np.asarray(schedule.alphas, dtype=np.float64)
+            columns = [alphas ** (-float(p)) for p in range(dim_D, 0, -1)]
+            columns.append(np.ones_like(alphas))
+            design = np.column_stack(columns)
+            norms = np.linalg.norm(design, axis=0)
+            coef, *_ = np.linalg.lstsq(design / norms, energies, rcond=None)
+            constant = float(coef[-1] / norms[-1])
+            rounding = 2.0**-52 * float(np.abs(energies).max())
+    except (ZeroDivisionError, FloatingPointError):
+        constant = rounding = math.nan  # an energy or a power of a cutoff left the doubles
+    if not rounding <= _ROUNDING_BOUND * abs(constant):
+        raise DomainError(
+            f"cutoff_casimir_energy: alpha={schedule.alphas[-1]} is too small; "
+            "the rounding of the regulated energies swamps the constant"
         )
-    columns = [alphas ** (-float(p)) for p in range(dim_D, 0, -1)]
-    columns.append(np.ones_like(alphas))
-    design = np.column_stack(columns)
-    norms = np.linalg.norm(design, axis=0)
-    coef, *_ = np.linalg.lstsq(design / norms, energies, rcond=None)
-    return float(coef[-1] / norms[-1]) * factor
+    return constant * factor
 
 
 @dataclass(frozen=True)
@@ -300,8 +325,9 @@ def profile_energy_integral(profile: Profile) -> ProfileEnergy:
     Exterior: the sampled values pin the |distance|^-D power-law
     coefficient on each side, and the tail integrates analytically to
     coefficient * L / (D-1); no numeric truncation is involved.
-    D and L are the profile's own. Working memory: a few lists and
-    arrays of the sample count.
+    D and L are the profile's own. DomainError where a sample's z or
+    t00 is not finite, or where the integral overflows. Working memory:
+    a few lists and arrays of the sample count.
     """
     length = profile.spacetime.plate_gap_L
     dim = profile.spacetime.dim_D
@@ -325,11 +351,15 @@ def profile_energy_integral(profile: Profile) -> ProfileEnergy:
         if not side:
             continue
         dists = [length - s.z if region is _LEFT_EXTERIOR else s.z for s in side]
-        coeff = sum(
-            s.tensor.t00 * (dist / length) ** dim for s, dist in zip(side, dists)
-        ) / len(side)
+        try:
+            coeff = sum(
+                s.tensor.t00 * (dist / length) ** dim for s, dist in zip(side, dists)
+            ) / len(side)
+        except OverflowError:
+            coeff = math.inf  # (dist / L)^D of a sample far beyond the plates
         exterior_total += coeff * length / (dim - 1)
 
-    return ProfileEnergy(
-        interior=inner, exterior=exterior_total, total=inner + exterior_total
-    )
+    total = inner + exterior_total
+    if not -math.inf < total < math.inf:  # so neither part is infinite or NaN
+        raise DomainError("profile_energy_integral: a sample or the integral is not finite")
+    return ProfileEnergy(interior=inner, exterior=exterior_total, total=total)

@@ -136,9 +136,9 @@ def subtracted_profile(st: Spacetime, bc: EmBC, z_grid: Iterable[float]) -> Prof
     of both plates (both sides each) leaves a piecewise expression that
     is finite for all z: the interior bracket uses the subtracted
     profile function, the exterior branches are pure power laws with
-    zero pressure. Grid points may lie outside the slab but must avoid
-    z = 0 and z = L exactly, where the branch assignment is ambiguous;
-    probe the two one-sided limits instead.
+    zero pressure. Grid points may lie outside the slab but must be
+    finite and avoid z = 0 and z = L exactly, where the branch assignment
+    is ambiguous; probe the two one-sided limits instead.
     """
     samples = tuple(
         ProfileSample(z, region, StressTensor(*tensor))

@@ -212,12 +212,7 @@ def hurwitz_zeta(s: float, a: float) -> float:
         raise DomainError(f"hurwitz_zeta: requires s > 1, got s={s}")
     if a <= 0.0:
         raise DomainError(f"hurwitz_zeta: requires a > 0, got a={a}")
-    return _hurwitz(s, a)
-
-
-def _hurwitz(s: float, a: float) -> float:
-    # hurwitz_zeta for callers that already hold s > 1 and 0 < a < inf. One
-    # argument reads the tail once, so it is made only as far as it is read.
+    # One argument reads the tail once, so it is made only as far as it is read.
     return _hurwitz_many(s, (a,), _EM_TAILS.get(s) or _em_tail(s))[0]
 
 
@@ -305,7 +300,7 @@ def cot_derivative(order: int, theta: float) -> float:
     if not 0.0 < theta < math.pi:
         raise DomainError(f"cot_derivative: theta must lie in (0, pi), got {theta}")
     coeffs = [0, 1]  # cot itself, as a polynomial in c
-    for _ in range(order):
+    for _ in range(int(order)):
         deriv = [i * coeffs[i] for i in range(1, len(coeffs))]
         nxt = [0] * (len(deriv) + 2)
         for i, d in enumerate(deriv):

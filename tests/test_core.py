@@ -947,6 +947,22 @@ def test_subtracted_profile_on_plate_raises():
         core.subtracted_profile(st6, EmBC.METALLIC, [0.5, 1.0])
 
 
+def test_subtracted_profile_rejects_infinite_points():
+    # z = -inf once gave a row (-inf, 0.0, ...), whose z no table can hold.
+    st6 = Spacetime(6, 1.0)
+    for grid in ([-math.inf, 0.5], [0.5, math.inf], [math.inf]):
+        with pytest.raises(DomainError, match="must be finite"):
+            core.subtracted_rows(st6, EmBC.METALLIC, grid)
+
+
+def test_field_invariant_raises_where_the_sum_overflows():
+    big = core.FieldFluctuations(1e308, -1e308, -1e308, 1e308)
+    with pytest.raises(DomainError):
+        core.field_invariant(big, 6)
+    with pytest.raises(DomainError):
+        core.field_invariant(core.FieldFluctuations(0.0, 0.0, 0.0, 0.0), math.inf)
+
+
 def test_subtracted_profile_one_sided_limits_are_finite():
     # the subtracted tensor is finite approaching each plate from both
     # sides, but the two limits differ; report the gap rather than

@@ -1,5 +1,6 @@
 """Oracle tests: the brute-force evaluators against the closed forms."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -37,6 +38,24 @@ def test_series_budget_validation():
         oracle.SeriesBudget(max_modes=10)
 
 
+def test_image_profile_sum_rejects_non_finite_dimensions():
+    # D = inf once gave inf and D = nan gave nan: 0.3 ** -inf does not overflow.
+    budget = oracle.SeriesBudget(max_images=10**3, max_modes=10**3)
+    for dim in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            oracle.image_profile_sum(dim, 0.3, budget)
+
+
+@pytest.mark.filterwarnings("error")
+def test_image_profile_sum_raises_where_the_sum_overflows():
+    # At x = 1/2 the two nearest images each give 2^D: D = 1023.5 once made
+    # numpy warn and return inf.
+    budget = oracle.SeriesBudget(max_images=10**3, max_modes=10**3)
+    with pytest.raises(DomainError, match="overflows"):
+        oracle.image_profile_sum(1023.5, 0.5, budget)
+    assert math.isfinite(oracle.image_profile_sum(1000.0, 0.5, budget))
+
+
 def test_cutoff_schedule_validation():
     with pytest.raises(ValueError):
         oracle.CutoffSchedule(alphas=(0.1, 0.05, 0.01))
@@ -71,6 +90,13 @@ def test_green_closed_boundary_and_symmetry():
     a = oracle.green_closed(2.3, 0.21, 0.68, 1.7)
     b = oracle.green_closed(2.3, 0.68, 0.21, 1.7)
     assert a == b
+
+
+def test_green_closed_wide_slab_does_not_overflow():
+    # a + b - c once cancelled to a rounding error of ulp(kbar L), here 2048,
+    # and exp of it overflowed; at z = zp far from both plates G is 1/(2 kbar).
+    got = oracle.green_closed(194.0, 194.0, 194.0, 4.547888336523919e16)
+    assert rel_err(got, 1.0 / (2.0 * 194.0)) < 1e-15
 
 
 def test_green_closed_overflow_guard_branch_agrees():
@@ -387,6 +413,25 @@ def test_cutoff_energy_domain():
             oracle.cutoff_casimir_energy(dim, 1.0, huge, CUTOFF_BUDGET)
 
 
+@pytest.mark.filterwarnings("error")
+def test_cutoff_energy_raises_where_rounding_swamps_the_constant():
+    # At D = 2 the default schedule scaled by 1e-3 once missed the constant
+    # by 1.4e-4 and scaled by 1e-10 by 1.3e10; at 1e-75 numpy warned, and at
+    # 1e-160 a regulated energy divided by zero.
+    for scale in (1e-3, 1e-4, 1e-6, 1e-10, 1e-30, 1e-75, 1e-160):
+        sched = oracle.default_cutoff_schedule(scale=scale)
+        with pytest.raises(DomainError, match="swamps the constant"):
+            oracle.cutoff_casimir_energy(2, 1.0, sched, CUTOFF_BUDGET)
+    tiny = oracle.CutoffSchedule(alphas=(10.0, 5.0, 1.0, 5e-324))
+    with pytest.raises(DomainError, match="swamps the constant"):
+        oracle.cutoff_casimir_energy(2, 1.0, tiny, CUTOFF_BUDGET)
+    # sinh^2(alpha pi / 2) overflowed from alpha = 226.4, below the old
+    # bound 745 / pi; the bound is now 700 / pi
+    large = oracle.CutoffSchedule(alphas=(230.0, 20.0, 10.0, 5.0))
+    with pytest.raises(DomainError, match="too large"):
+        oracle.cutoff_casimir_energy(2, 1.0, large, CUTOFF_BUDGET)
+
+
 # ---------------------------------------------------- finite differences
 
 
@@ -466,6 +511,22 @@ def test_profile_energy_sample_doubling_stability():
     a = oracle.profile_energy_integral(prof1).total
     b = oracle.profile_energy_integral(prof2).total
     assert rel_err(b, a) < 1e-8
+
+
+@pytest.mark.filterwarnings("error")
+def test_profile_energy_rejects_non_finite_samples():
+    # A left-exterior sample at z = -inf once gave total=inf, a NaN t00 nan,
+    # and a sample at z = -1e300 raised OverflowError.
+    _, prof = _subtracted(6)
+    first = prof.samples[0]
+    for z in (-math.inf, -1e300):
+        far = dataclasses.replace(first, z=z)
+        bad = dataclasses.replace(prof, samples=(far, *prof.samples))
+        with pytest.raises(DomainError):
+            oracle.profile_energy_integral(bad)
+    nan_t00 = dataclasses.replace(first, tensor=dataclasses.replace(first.tensor, t00=math.nan))
+    with pytest.raises(DomainError):
+        oracle.profile_energy_integral(dataclasses.replace(prof, samples=(nan_t00, *prof.samples[1:])))
 
 
 def test_profile_energy_insufficient_samples():

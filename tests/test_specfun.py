@@ -268,9 +268,9 @@ def test_early_exit_keeps_every_bit_of_the_zeta_sums():
             want = _reference_hurwitz(s, a)
         except OverflowError:
             with pytest.raises(DomainError):
-                specfun._hurwitz(s, a)
+                specfun.hurwitz_zeta(s, a)
             continue
-        assert specfun._hurwitz(s, a).hex() == want.hex(), (s, a)
+        assert specfun.hurwitz_zeta(s, a).hex() == want.hex(), (s, a)
     for _ in range(20_000):
         s = rng.uniform(0.0, 30.0)
         if s != 1.0:
@@ -516,6 +516,11 @@ def test_cot_derivative_parity(order, frac):
     b = specfun.cot_derivative(order, PI - theta)
     sign = 1.0 if order % 2 == 1 else -1.0
     assert abs(a - sign * b) <= 1e-9 * max(abs(a), abs(b))
+
+
+def test_cot_derivative_takes_an_integral_float_order():
+    # The order check accepts 3.0, which once failed in range() with TypeError.
+    assert specfun.cot_derivative(3.0, 0.7) == specfun.cot_derivative(3, 0.7)
 
 
 @pytest.mark.parametrize("theta", [0.0, PI, -0.1, 3.2])
