@@ -7,8 +7,10 @@ from an exponentially regulated mode sum followed by removal of the
 divergent regulator powers. Agreement between these evaluators and the
 analytic expressions is the evidence the rest of the package rests on.
 
-All sums are evaluated in fixed order over preallocated arrays, so
-results are reproducible bit for bit from run to run.
+Every series is summed in fixed order, a block of at most 2^14 terms at
+a time in one reused buffer, with the bits numpy's sum over the whole
+array would give, so results are reproducible bit for bit from run to
+run and the working memory does not grow with the truncation budget.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -82,6 +84,44 @@ def default_cutoff_schedule(*, scale: float = 1.0) -> CutoffSchedule:
     return CutoffSchedule(alphas=tuple(scale * 0.014 * 2.0 ** (-k / 2.0) for k in range(8)))
 
 
+# numpy sums a contiguous float64 array pairwise: a range of more than 128
+# terms is split at n/2 rounded down to a multiple of 8, each part is summed
+# the same way and the two sums are added. _pairwise_sum splits at the same
+# points down to ranges of at most `block` (>= 128) terms and hands each to
+# .sum(), so it returns the bits of one .sum() over the whole array while
+# holding one block of terms. The 0.0 each .sum() starts from changes no bit
+# but the sign of a zero, which the whole array's 0.0 start sets the same way.
+_BLOCK = 2**14
+
+
+def _pairwise_sum(
+    first: int, count: int, terms: Callable[[np.ndarray], None], block: int = _BLOCK
+) -> float:
+    # numpy's sum of the count terms of indices first, first + 1, ...;
+    # terms(buffer) turns a buffer of consecutive indices, as doubles, into
+    # their terms in place.
+    steps = np.arange(min(count, block), dtype=np.float64)
+    return _pairwise_range(first, count, terms, steps, np.empty_like(steps))
+
+
+def _pairwise_range(
+    start: int, n: int, terms: Callable[[np.ndarray], None], steps: np.ndarray, buffer: np.ndarray
+) -> float:
+    # A function of its own, not a closure: a nested function that calls
+    # itself is a reference cycle, which would keep the buffers alive until
+    # the garbage collector runs.
+    if n > buffer.size:
+        half = n // 2
+        half -= half % 8
+        return _pairwise_range(start, half, terms, steps, buffer) + _pairwise_range(
+            start + half, n - half, terms, steps, buffer
+        )
+    part = buffer[:n]
+    np.add(steps[:n], float(start), out=part)
+    terms(part)
+    return float(part.sum())
+
+
 def _check_green(name: str, kbar: float, z: float, zp: float, L: float) -> None:
     if not (kbar > 0.0 and L > 0.0 and kbar * L < math.inf):
         raise DomainError(f"{name}: requires kbar > 0, L > 0 and a finite kbar L")
@@ -130,9 +170,9 @@ def green_mode_sum(
     (2/L) sum_n sin(n pi z/L) sin(n pi zp/L) / (k^2 + (n pi/L)^2) for
     Dirichlet; cosines for Neumann plus the n = 0 term 1/(L k^2), which
     is finite at fixed k > 0 and required for the mode sum to satisfy
-    the defining differential equation. Working memory: a few arrays of
-    max_modes doubles. A bc other than a ScalarBC member raises
-    ValueError before any other check.
+    the defining differential equation. Working memory: four arrays of
+    min(max_modes, 2^14) doubles (0.5 MB at most). A bc other than a
+    ScalarBC member raises ValueError before any other check.
     """
     if bc is not ScalarBC.DIRICHLET and bc is not ScalarBC.NEUMANN:
         raise ValueError(f"green_mode_sum: bc must be a ScalarBC, got {bc!r}")
@@ -150,13 +190,24 @@ def green_mode_sum(
         extra = 1.0 / n0 if n0 else math.inf
         if extra == math.inf:
             raise DomainError(f"green_mode_sum: kbar={kbar} too small; 1/(L kbar^2) overflows")
-    n = np.arange(1, budget.max_modes + 1, dtype=np.float64)
-    denom = kbar * kbar + (n * phase) ** 2
-    if bc is ScalarBC.DIRICHLET:
-        terms = np.sin(n * (phase * z)) * np.sin(n * (phase * zp)) / denom
-    else:
-        terms = np.cos(n * (phase * z)) * np.cos(n * (phase * zp)) / denom
-    return (2.0 / L) * float(terms.sum()) + extra
+    trig = np.sin if bc is ScalarBC.DIRICHLET else np.cos
+    size = min(budget.max_modes, _BLOCK)
+    second, denom = np.empty(size), np.empty(size)
+
+    def terms(n: np.ndarray) -> None:
+        # trig(n phase z) trig(n phase zp) / (kbar^2 + (n phase)^2), in place
+        other, den = second[: n.size], denom[: n.size]
+        np.multiply(n, phase * zp, out=other)
+        trig(other, out=other)
+        np.multiply(n, phase, out=den)
+        np.square(den, out=den)
+        den += kbar * kbar
+        n *= phase * z
+        trig(n, out=n)
+        n *= other
+        n /= den
+
+    return (2.0 / L) * _pairwise_sum(1, budget.max_modes, terms) + extra
 
 
 def image_profile_sum(dim_D: int, x: float, budget: SeriesBudget) -> float:
@@ -164,9 +215,8 @@ def image_profile_sum(dim_D: int, x: float, budget: SeriesBudget) -> float:
 
     The discarded tail is replaced by its integral approximation
     2 / ((D-1) J^(D-1)); with J = 10^6 the residual beyond that
-    correction is far below 1e-12 for every D >= 3. Working memory: one
-    array of 2 max_images + 1 doubles (16 MB at the default budget),
-    which every step updates in place.
+    correction is far below 1e-12 for every D >= 3. Working memory: two
+    arrays of min(2 max_images + 1, 2^14) doubles (0.25 MB at most).
     """
     if not 2 <= dim_D < math.inf:
         raise DomainError(f"image_profile_sum: requires a finite D >= 2, got {dim_D}")
@@ -178,12 +228,15 @@ def image_profile_sum(dim_D: int, x: float, budget: SeriesBudget) -> float:
     except OverflowError:
         raise DomainError(f"image_profile_sum: x={x} too close to a plate; x^-D overflows") from None
     j_cap = budget.max_images
-    terms = np.arange(-j_cap, j_cap + 1, dtype=np.float64)
-    terms += x
-    np.abs(terms, out=terms)
+    power = -float(dim_D)
+
+    def terms(j: np.ndarray) -> None:
+        j += x
+        np.abs(j, out=j)
+        np.power(j, power, out=j)
+
     with np.errstate(over="ignore"):  # an infinite total is rejected below
-        np.power(terms, -float(dim_D), out=terms)
-        total = float(terms.sum())
+        total = _pairwise_sum(-j_cap, 2 * j_cap + 1, terms)
     if total == math.inf:  # two terms near the largest double, at a D above 1000
         raise DomainError(f"image_profile_sum: the sum overflows a double at D={dim_D}, x={x}")
     try:
@@ -200,6 +253,10 @@ def _regulated_energy_d2(alpha: float) -> float:
     return math.pi / (8.0 * math.sinh(half_beta) ** 2)
 
 
+# The most modes whose quadrature _regulated_energy_d3 holds at once.
+_D3_ROWS = 2048
+
+
 # The default schedule scaled by 2 shares six of its eight cutoffs bit for
 # bit with the unscaled one, so a regulator-independence check that fits
 # both evaluates ten energies, not sixteen. The cache holds only floats.
@@ -213,20 +270,30 @@ def _regulated_energy_d3(alpha: float, max_modes: int) -> float:
     n_max = math.ceil(45.0 / (alpha * math.pi))
     if n_max > max_modes:
         raise DomainError(f"cutoff_casimir_energy: alpha={alpha} needs {n_max} modes > {max_modes}")
-    m = math.pi * np.arange(1, n_max + 1, dtype=np.float64)
-    x = alpha * m
     h = 0.15
-    t_top = math.acosh(745.0 / float(x[0])) + h
+    t_top = math.acosh(745.0 / (alpha * math.pi)) + h  # alpha m_1, the slowest decay
     t = np.arange(0.0, t_top, h)
     ch = np.cosh(t)
     weights = ch * ch * h
     weights[0] *= 0.5
-    decay = np.outer(x, ch)
-    np.negative(decay, out=decay)
-    with np.errstate(under="ignore"):
-        np.exp(decay, out=decay)
-    g = decay @ weights
-    return float((m * m * g).sum()) / (2.0 * math.pi)
+    rows = min(n_max, _D3_ROWS)
+    decay = np.empty((rows, t.size))
+    scratch = np.empty(rows)
+
+    def terms(m: np.ndarray) -> None:
+        # m_n^2 g(alpha m_n), in place
+        m *= math.pi
+        x, block = scratch[: m.size], decay[: m.size]
+        np.multiply(m, alpha, out=x)
+        np.multiply.outer(x, ch, out=block)
+        np.negative(block, out=block)
+        with np.errstate(under="ignore"):
+            np.exp(block, out=block)
+        g = np.matmul(block, weights, out=x)
+        np.square(m, out=m)
+        m *= g
+
+    return _pairwise_sum(1, n_max, terms, block=_D3_ROWS) / (2.0 * math.pi)
 
 
 # The most that rounding the largest regulated energy alone may move the fitted
@@ -252,8 +319,8 @@ def cutoff_casimir_energy(
     700 / pi, if D = 3 needs more than max_modes modes, or if the
     cutoffs are so small that rounding swamps the constant: where
     2^-52 max|E(alpha)| exceeds 1e-5 times its magnitude. Working
-    memory at D = 3: ceil(45 / (pi alpha)) modes x the quadrature nodes;
-    at the smallest default cutoff, 11576 x 87 doubles (8 MB).
+    memory at D = 3: 2048 modes x the quadrature nodes, at most; at the
+    smallest default cutoff, 2048 x 87 doubles (1.4 MB).
     """
     if dim_D not in (2, 3):
         raise DomainError("cutoff_casimir_energy: only D in {2, 3} is supported")
@@ -325,9 +392,9 @@ def profile_energy_integral(profile: Profile) -> ProfileEnergy:
     Exterior: the sampled values pin the |distance|^-D power-law
     coefficient on each side, and the tail integrates analytically to
     coefficient * L / (D-1); no numeric truncation is involved.
-    D and L are the profile's own. DomainError where a sample's z or
-    t00 is not finite, or where the integral overflows. Working memory:
-    a few lists and arrays of the sample count.
+    D and L are the profile's own, and its samples finite. DomainError
+    where the integral overflows. Working memory: a few lists and arrays
+    of the sample count.
     """
     length = profile.spacetime.plate_gap_L
     dim = profile.spacetime.dim_D
@@ -361,5 +428,5 @@ def profile_energy_integral(profile: Profile) -> ProfileEnergy:
 
     total = inner + exterior_total
     if not -math.inf < total < math.inf:  # so neither part is infinite or NaN
-        raise DomainError("profile_energy_integral: a sample or the integral is not finite")
+        raise DomainError("profile_energy_integral: the integral is not finite")
     return ProfileEnergy(interior=inner, exterior=exterior_total, total=total)

@@ -302,14 +302,13 @@ def _check_single_plate(tol: float) -> list[CheckResult]:
 
 # The CLI process runs the first HEAD checks of the suite and one forked
 # worker the rest. Timed in their two processes on 2 CPUs at full budgets,
-# each with one BLAS thread (30 runs), classic pressure and the f-profile
-# dual forms take 110-163 ms (median 150) and the other nine 119-202 ms
-# (median 175). With HEAD = 3 the head, now with the Green-function check,
-# takes 120-188 ms (median 172) and the tail 99-178 ms (median 150): the
-# slower half is as slow, and the whole command was slower in 18 of 30
-# alternating pairs. The dual forms are nine whole-array power passes,
-# which cannot be split further without changing bits.
-HEAD = 2
+# each with one BLAS thread (20 runs), HEAD = 2 gives classic pressure and
+# the f-profile dual forms 68-103 ms (median 75) and the other nine 92-154 ms
+# (median 116). With HEAD = 3 the head, now with the Green-function check,
+# takes 80-125 ms (median 94) and the tail 79-136 ms (median 104). As whole
+# fresh commands HEAD = 3 was faster in 18 of 30 alternating pairs at full
+# budgets and in 20 of 30 under --quick.
+HEAD = 3
 
 
 def checks(quick: bool = False) -> list[Callable[[], list[CheckResult]]]:

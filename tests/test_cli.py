@@ -304,8 +304,8 @@ def test_verify_failure_exits_1_and_reports_worst(capsys, monkeypatch):
 
 @pytest.mark.parametrize("broken", [0, 2], ids=["in-the-cli-process", "in-the-worker"])
 def test_verify_failure_in_either_process_exits_1(capsys, monkeypatch, tmp_path, broken):
-    # Three checks on two CPUs: the first verify.HEAD run in the CLI process,
-    # the last in its worker; a failure in either share must exit 1.
+    # Three checks on two CPUs, with verify.HEAD = 2: the first two run in the
+    # CLI process, the last in its worker; a failure in either share must exit 1.
     from casimir_slab import verify as verify_mod
 
     log = tmp_path / "calls"
@@ -322,6 +322,7 @@ def test_verify_failure_in_either_process_exits_1(capsys, monkeypatch, tmp_path,
         return run
 
     monkeypatch.setattr(verify_mod, "checks", lambda quick=False: [check(i) for i in range(3)])
+    monkeypatch.setattr(verify_mod, "HEAD", 2)
     _set_cpus(monkeypatch, 2)
     code, out, err = run_cli(capsys, "verify")
     assert code == 1
@@ -919,8 +920,8 @@ def test_a_temporary_file_that_fails_exits_2(capsys, monkeypatch, tmp_path, spil
 
 
 def _rig_verify(monkeypatch, log, fail=False, worker_fault=None):
-    """Put cheap checks in place of the suite: verify.HEAD in the CLI process's
-    share and three in its worker's, one of which fails. Each call, in this
+    """Put cheap checks in place of the suite, with verify.HEAD = 2: two in the
+    CLI process's share and three in its worker's, one of which fails. Each call, in this
     process or a forked worker, appends "pid index" to the file log; with fail
     the last check raises DomainError; in a worker, worker_fault() runs first."""
     from casimir_slab import verify as verify_mod
@@ -947,7 +948,7 @@ def _rig_verify(monkeypatch, log, fail=False, worker_fault=None):
 
         return run
 
-    assert verify_mod.HEAD == 2
+    monkeypatch.setattr(verify_mod, "HEAD", 2)
     monkeypatch.setattr(verify_mod, "checks", lambda quick=False: list(map(check, range(5))))
 
 

@@ -1,5 +1,6 @@
 """Core physics tests: energies, pressures, stress tensors, profiles."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -307,6 +308,25 @@ def test_profile_requires_increasing_grid():
                 core.ProfileSample(0.2, Region.INTERIOR, tensor),
             ),
         )
+
+
+def test_profile_rejects_non_finite_samples():
+    prof = core.subtracted_profile(Spacetime(6, 1.0), EmBC.METALLIC, [-0.5, 0.2, 0.4, 1.5])
+    first, *rest = prof.samples
+    tensor = first.tensor
+    bad_samples = [dataclasses.replace(first, z=z) for z in (-math.inf, math.nan)]
+    bad_samples += [
+        dataclasses.replace(first, tensor=dataclasses.replace(tensor, **{name: value}))
+        for name in ("t00", "tzz", "t_transverse", "trace")
+        for value in (math.inf, -math.inf, math.nan)
+    ]
+    for bad in bad_samples:
+        with pytest.raises(ValueError):
+            core.Profile(prof.spacetime, prof.theory, (bad, *rest))
+    last = dataclasses.replace(prof.samples[-1], z=math.inf)
+    with pytest.raises(ValueError):
+        core.Profile(prof.spacetime, prof.theory, (*prof.samples[:-1], last))
+    assert core.Profile(prof.spacetime, prof.theory, prof.samples) == prof
 
 
 def test_stress_tensor_trace_relation():

@@ -10,6 +10,7 @@ strategy fails it.
 
 import dataclasses
 import math
+import sys
 import warnings
 from enum import Enum
 
@@ -74,6 +75,10 @@ def _enum_args(enum):
 
 TENSORS = st.builds(core.StressTensor, FINITE, FINITE, FINITE, FINITE)
 SAMPLES = st.builds(core.ProfileSample, FINITE, REGIONS, TENSORS)
+# A Profile rejects a sample holding a value that is not finite.
+ANY_SAMPLES = st.builds(
+    core.ProfileSample, FLOATS, REGIONS, st.builds(core.StressTensor, FLOATS, FLOATS, FLOATS, FLOATS)
+)
 
 
 def _cutoff_args(dims, lengths, exponents):
@@ -116,7 +121,8 @@ CUTOFF_ARGS = st.one_of(
 @st.composite
 def _profiles(draw):
     # Subtracted profiles with enough uniform interior samples to integrate,
-    # some exterior ones anywhere, and perhaps one sample made non-finite.
+    # some exterior ones anywhere, and perhaps one far sample or one extreme
+    # t00. A Profile holds finite values only (core.Profile's own entry).
     space = Spacetime(draw(st.integers(3, 24)), draw(LENGTHS))
     length = space.plate_gap_L
     n = draw(st.sampled_from([255, 256, 257, 300]))
@@ -127,20 +133,22 @@ def _profiles(draw):
     except ValueError:
         assume(False)
     samples = list(profile.samples)
-    change = draw(st.sampled_from(["none", "left-infinity", "t00"]))
-    if change == "left-infinity":
-        samples.insert(0, core.ProfileSample(-math.inf, Region.LEFT_EXTERIOR, samples[0].tensor))
+    change = draw(st.sampled_from(["none", "left-far", "t00"]))
+    if change == "left-far":
+        far = -sys.float_info.max
+        assume(samples[0].z > far)
+        samples.insert(0, core.ProfileSample(far, Region.LEFT_EXTERIOR, samples[0].tensor))
     elif change == "t00":
         i = draw(st.integers(0, len(samples) - 1))
         samples[i] = dataclasses.replace(
-            samples[i], tensor=dataclasses.replace(samples[i].tensor, t00=draw(FLOATS))
+            samples[i], tensor=dataclasses.replace(samples[i].tensor, t00=draw(FINITE))
         )
     return core.Profile(space, profile.theory, tuple(samples))
 
 
-# One strategy of (args, kwargs) per public name. Records hold the values
-# they are given, so their own entries draw finite floats; a function that
-# takes a record meets non-finite values through the records it is given.
+# One strategy of (args, kwargs) per public name. Records other than
+# Profile hold the values they are given, so their own entries draw finite
+# floats; a function that takes one meets non-finite values through it.
 REGISTRY = {
     "core.ScalarBC": _enum_args(ScalarBC),
     "core.EmBC": _enum_args(EmBC),
@@ -151,7 +159,9 @@ REGISTRY = {
     "core.StressTensor": _args(FINITE, FINITE, FINITE, FINITE),
     "core.FieldFluctuations": _args(FINITE, FINITE, FINITE, FINITE),
     "core.ProfileSample": _args(FINITE, REGIONS, TENSORS),
-    "core.Profile": _args(SPACETIMES, THEORIES, st.lists(SAMPLES, max_size=4).map(tuple)),
+    "core.Profile": _args(
+        SPACETIMES, THEORIES, st.lists(st.one_of(SAMPLES, ANY_SAMPLES), max_size=4).map(tuple)
+    ),
     "core.base_energy_density": _args(SPACETIMES),
     "core.total_energy_per_area": _args(SPACETIMES, THEORIES),
     "core.pressure": _args(SPACETIMES, THEORIES),

@@ -1,7 +1,9 @@
 """Oracle tests: the brute-force evaluators against the closed forms."""
 
 import dataclasses
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +159,33 @@ def test_green_mode_sum_matches_closed_form():
     assert abs(got - want) < 1e-6
 
 
+def _reference_green_mode_sum(kbar, z, zp, L, bc, budget):
+    # the whole-array expression green_mode_sum evaluates block by block
+    phase = np.pi / L
+    n = np.arange(1, budget.max_modes + 1, dtype=np.float64)
+    denom = kbar * kbar + (n * phase) ** 2
+    trig = np.sin if bc is ScalarBC.DIRICHLET else np.cos
+    terms = trig(n * (phase * z)) * trig(n * (phase * zp)) / denom
+    extra = 1.0 / (L * kbar * kbar) if bc is ScalarBC.NEUMANN else 0.0
+    return (2.0 / L) * float(terms.sum()) + extra
+
+
+def test_green_mode_sum_keeps_the_whole_array_bits():
+    block = oracle._BLOCK
+    for max_modes in (10**3, 10**4, block - 1, block, block + 1, 2 * 10**4, 8 * block + 3):
+        budget = oracle.SeriesBudget(max_modes=max_modes)
+        for bc in ScalarBC:
+            for kbar, z, zp, length in (
+                (1.0, 0.3, 0.7, 1.0),
+                (7.086920641914623, 0.14657744030982506, 0.6984909157447159, 1.0),
+                (0.05, 0.0, 0.61, 2.5),
+                (30.0, 0.2, 0.2, 0.4),
+            ):
+                got = oracle.green_mode_sum(kbar, z, zp, length, bc, budget)
+                want = _reference_green_mode_sum(kbar, z, zp, length, bc, budget)
+                assert got.hex() == want.hex(), (max_modes, bc, kbar, z, zp, length)
+
+
 def test_green_mode_sum_even_terms_vanish_at_midpoint():
     # at z = zp = L/2 every even mode has a node, so adding one even
     # mode must not change the partial sum at all
@@ -237,7 +266,7 @@ def test_image_sum_agrees_with_closed_profile():
 
 
 def _reference_image_profile_sum(dim_D, x, budget):
-    # the out-of-place expression image_profile_sum evaluates in one buffer
+    # the whole-array expression image_profile_sum evaluates block by block
     j_cap = budget.max_images
     j = np.arange(-j_cap, j_cap + 1, dtype=np.float64)
     total = float((np.abs(j + x) ** (-float(dim_D))).sum())
@@ -245,10 +274,16 @@ def _reference_image_profile_sum(dim_D, x, budget):
 
 
 def test_image_sum_in_place_keeps_the_out_of_place_bits():
+    # 2J + 1 = 2^14 (one block) is even, so J = 8191 and 8192 straddle it;
+    # 2J + 1 = 8 blocks + 3 splits into 16 blocks, the last ranges uneven
+    block = oracle._BLOCK
     budgets = (
         oracle.SeriesBudget(),
         oracle.SeriesBudget(max_images=1000),
         oracle.SeriesBudget(max_images=1001),
+        oracle.SeriesBudget(max_images=(block - 1) // 2),
+        oracle.SeriesBudget(max_images=(block + 1) // 2),
+        oracle.SeriesBudget(max_images=(8 * block + 3) // 2),
     )
     for budget in budgets:
         for dim in range(2, 13):
@@ -317,7 +352,7 @@ def test_cutoff_energy_regulator_independence():
 
 
 def _reference_regulated_energy_d3(alpha):
-    # the out-of-place expression oracle._regulated_energy_d3 evaluates in one buffer
+    # the whole-array expression oracle._regulated_energy_d3 evaluates block by block
     mu = math.pi
     n_max = int(math.ceil(45.0 / (alpha * mu)))
     m = mu * np.arange(1, n_max + 1, dtype=np.float64)
@@ -345,6 +380,53 @@ def test_regulated_energy_d3_in_place_keeps_the_out_of_place_bits():
                     got = oracle._regulated_energy_d3(alpha, max_modes)
                     want = _reference_regulated_energy_d3(alpha)
                     assert got.hex() == want.hex(), (alpha, max_modes)
+    # more modes than one block of an image sum holds (each energy is summed
+    # in ranges of at most 2048 modes)
+    block = oracle._BLOCK
+    for n_max in (28648, 8 * block + 3):
+        alpha = 45.0 / (PI * (n_max - 0.5))
+        assert math.ceil(45.0 / (alpha * PI)) == n_max
+        got = oracle._regulated_energy_d3(alpha, 10 * block)
+        want = _reference_regulated_energy_d3(alpha)
+        assert got.hex() == want.hex(), alpha
+
+
+def _traced_bytes(fn):
+    # The peak of what fn allocates and what it leaves allocated on return,
+    # with the garbage collector off: numpy reports its array buffers to
+    # tracemalloc, and a buffer held by a reference cycle stays counted.
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        fn()
+        current, peak = tracemalloc.get_traced_memory()
+        return peak, current
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
+def test_series_working_memory_does_not_grow_with_the_budget():
+    # Whole-array sums held 16 MB for an image sum at the default budget and
+    # 8.5 MB for the D = 3 energy at the smallest default cutoff, ten times
+    # that at ten times the budget (the D = 3 modes at a tenth of the cutoff).
+    smallest = oracle.default_cutoff_schedule().alphas[-1]
+    for scale in (1, 10):
+        budget = oracle.SeriesBudget(max_images=scale * 10**6, max_modes=scale * 10**4)
+        series = {
+            "image_profile_sum": lambda: oracle.image_profile_sum(6, 0.25, budget),
+            "green_mode_sum": lambda: oracle.green_mode_sum(
+                1.0, 0.3, 0.7, 1.0, ScalarBC.NEUMANN, budget
+            ),
+            "_regulated_energy_d3": lambda: oracle._regulated_energy_d3.__wrapped__(
+                smallest / scale, scale * 40000
+            ),
+        }
+        for name, fn in series.items():
+            peak, left = _traced_bytes(fn)
+            assert peak < 2.5e6, (name, scale, peak)
+            assert left < 1e4, (name, scale, left)
 
 
 def test_doubled_cutoff_schedule_shares_six_cutoffs_bit_for_bit():
@@ -515,18 +597,22 @@ def test_profile_energy_sample_doubling_stability():
 
 @pytest.mark.filterwarnings("error")
 def test_profile_energy_rejects_non_finite_samples():
-    # A left-exterior sample at z = -inf once gave total=inf, a NaN t00 nan,
-    # and a sample at z = -1e300 raised OverflowError.
+    # A left-exterior sample at z = -1e300 once raised OverflowError; one at
+    # z = -inf once gave total=inf and a NaN t00 nan, and neither makes a
+    # Profile any more. A finite t00 whose tail coefficient overflows is the
+    # way left for a sample to make the integral infinite.
     _, prof = _subtracted(6)
     first = prof.samples[0]
-    for z in (-math.inf, -1e300):
-        far = dataclasses.replace(first, z=z)
-        bad = dataclasses.replace(prof, samples=(far, *prof.samples))
+    huge = dataclasses.replace(first, tensor=dataclasses.replace(first.tensor, t00=1.7e308))
+    for bad in (dataclasses.replace(first, z=-1e300), huge):
         with pytest.raises(DomainError):
-            oracle.profile_energy_integral(bad)
+            oracle.profile_energy_integral(
+                dataclasses.replace(prof, samples=(bad, *prof.samples[1:]))
+            )
     nan_t00 = dataclasses.replace(first, tensor=dataclasses.replace(first.tensor, t00=math.nan))
-    with pytest.raises(DomainError):
-        oracle.profile_energy_integral(dataclasses.replace(prof, samples=(nan_t00, *prof.samples[1:])))
+    for bad in (dataclasses.replace(first, z=-math.inf), nan_t00):
+        with pytest.raises(ValueError):
+            dataclasses.replace(prof, samples=(bad, *prof.samples[1:]))
 
 
 def test_profile_energy_insufficient_samples():
