@@ -591,7 +591,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", parents=[out], help="run the oracle consistency suite")
     p_verify.add_argument(
-        "--quick", action="store_true", help="100x smaller budgets, 100x looser tolerances"
+        "--quick",
+        action="store_true",
+        help="10x fewer images and modes, 6x larger cutoffs, 4x fewer samples, "
+        "100x looser tolerances",
     )
 
     return parser

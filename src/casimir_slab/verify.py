@@ -2,31 +2,38 @@
 
 Each check reports the worst residual it observed together with the
 tolerance it was held to; the CLI renders the results as a
-machine-readable table. Quick mode cuts the series budgets by 100x and
-relaxes every tolerance by the same factor, trading confidence for
-runtime.
+machine-readable table. Quick mode trades confidence for runtime: it
+sums a tenth of the images and of the Green-function modes, fits
+cutoffs six times larger with a twentieth of the D = 3 mode budget,
+integrates a quarter of the interior samples, and relaxes every
+tolerance 100x except those of the two convergence rates.
+
+Importing this module does not load numpy. Of the checks, only the
+first HEAD, among them every one whose oracle sums a series, load it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, TextIO
 
-import numpy as np
-
 from . import core, oracle, specfun
-from .core import EmBC, ScalarBC, Spacetime, Theory, TheoryKind
+from .core import EmBC, ScalarBC, Spacetime, Theory, TheoryKind, _Value
 
 __all__ = ["HEAD", "CheckResult", "checks", "run_checks"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Value):
+    __match_args__ = __slots__ = ("name", "residual", "tolerance")
     name: str
     residual: float
     tolerance: float
+
+    def __init__(self, name: str, residual: float, tolerance: float) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "tolerance", tolerance)
 
     @property
     def passed(self) -> bool:
@@ -271,9 +278,12 @@ def _check_cancellation(n_interior: int, tol: float) -> list[CheckResult]:
     for dim in range(5, 11):
         st = Spacetime(dim, 1.0)
         delta = 1e-8
+        # numpy.linspace(delta, 1 - delta, n_interior), bit for bit
+        step = (1.0 - delta - delta) / (n_interior - 1)
+        interior = [i * step + delta for i in range(n_interior - 1)] + [1.0 - delta]
         grid = (
             [-(i + 0.5) / n_ext for i in range(n_ext)]
-            + np.linspace(delta, 1.0 - delta, n_interior).tolist()
+            + interior
             + [1.0 + (i + 0.5) / n_ext for i in range(n_ext)]
         )
         prof = core.subtracted_profile(st, EmBC.METALLIC, grid)
@@ -301,20 +311,20 @@ def _check_single_plate(tol: float) -> list[CheckResult]:
 
 
 # The CLI process runs the first HEAD checks of the suite and one forked
-# worker the rest. Timed in their two processes on 2 CPUs at full budgets,
-# each with one BLAS thread (20 runs), HEAD = 2 gives classic pressure and
-# the f-profile dual forms 68-103 ms (median 75) and the other nine 92-154 ms
-# (median 116). With HEAD = 3 the head, now with the Green-function check,
-# takes 80-125 ms (median 94) and the tail 79-136 ms (median 104). As whole
-# fresh commands HEAD = 3 was faster in 18 of 30 alternating pairs at full
-# budgets and in 20 of 30 under --quick.
-HEAD = 3
+# worker the rest. The head holds every check whose oracle sums a series, so
+# the worker, forked before numpy is loaded, never loads it. Timed in their two
+# processes on 2 CPUs at full budgets, each with one BLAS thread (20 fresh
+# runs), the head, numpy's import included, took 98-160 ms (median 134) and the
+# tail 66-237 ms (median 93).
+HEAD = 4
 
 
 def checks(quick: bool = False) -> list[Callable[[], list[CheckResult]]]:
     """The suite as zero-argument callables, in row order; each returns its results."""
     relax = 100.0 if quick else 1.0
-    images = 10**4 if quick else 10**6
+    # 10^5 images reach the error of 10^6 in a tenth of the time (see the
+    # table in oracle.image_profile_sum)
+    images = 10**4 if quick else 10**5
     modes = 10**3 if quick else 10**4
     # the smallest regulator in the scaled schedule dictates the number
     # of modes the D=3 sum needs: 11576 at full budgets, 1930 with quick

@@ -1260,6 +1260,32 @@ def test_cli_never_loads_dataclasses_or_the_records():
     assert proc.stdout.splitlines() == ["[]", "[] 2"]
 
 
+# Imports verify and prints which of numpy and the start-up-heavy modules that
+# loads, then runs the checks its forked worker runs and prints whether numpy
+# is loaded.
+_VERIFY_PROBE = """
+import sys
+from casimir_slab import verify
+heavy = {"numpy", "dataclasses", "inspect", "casimir_slab.records"}
+print(sorted(heavy & set(sys.modules)))
+for check in verify.checks(True)[verify.HEAD:]:
+    check()
+print("numpy" in sys.modules)
+"""
+
+
+def test_verify_worker_never_loads_numpy():
+    # Fresh and with -S, as above; without site-packages on the path, a tail
+    # check that imported numpy would fail outright.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _VERIFY_PROBE],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "False"]
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "casimir_slab", "pressure", "--dim", "4"],

@@ -124,7 +124,19 @@ def test_spacetime_and_theory_copy_and_pickle():
     import copy
     import pickle
 
-    for obj in (Spacetime(6, 2.5), Spacetime(24), Theory(TheoryKind.MAXWELL, EmBC.MIT)):
+    from casimir_slab import oracle, verify
+
+    for obj in (
+        Spacetime(6, 2.5),
+        Spacetime(24),
+        Theory(TheoryKind.MAXWELL, EmBC.MIT),
+        # the values of oracle and verify are core._Value too
+        oracle.SeriesBudget(),
+        oracle.SeriesBudget(10**5, max_modes=2000),
+        oracle.default_cutoff_schedule(scale=6.0),
+        oracle.ProfileEnergy(1.5, -0.25, total=1.25),
+        verify.CheckResult("check", 1e-12, 1e-10),
+    ):
         for twin in (
             pickle.loads(pickle.dumps(obj)),
             pickle.loads(pickle.dumps(obj, protocol=0)),

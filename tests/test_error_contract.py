@@ -219,7 +219,7 @@ def _assert_finite(value):
     elif dataclasses.is_dataclass(value):
         for field in dataclasses.fields(value):
             _assert_finite(getattr(value, field.name))
-    elif isinstance(value, (Spacetime, Theory)):
+    elif isinstance(value, core._Value):
         for name in value.__slots__:
             _assert_finite(getattr(value, name))
     else:
