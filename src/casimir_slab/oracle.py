@@ -7,10 +7,11 @@ from an exponentially regulated mode sum followed by removal of the
 divergent regulator powers. Agreement between these evaluators and the
 analytic expressions is the evidence the rest of the package rests on.
 
-Every series is summed in fixed order, a block of at most 2^14 terms at
-a time in one reused buffer, with the bits numpy's sum over the whole
-array would give, so results are reproducible bit for bit from run to
-run and the working memory does not grow with the truncation budget.
+Every series is summed in blocks of at most 2^14 consecutive terms, in
+one reused buffer: numpy sums each block and math.fsum adds the block
+sums, exactly rounded. Results are reproducible bit for bit from run to
+run on one numpy build (they depend on the block size), and the working
+memory does not grow with the truncation budget.
 
 numpy is imported by the functions that sum a series, on first use, so
 importing this module, building its budgets and schedules and
@@ -22,6 +23,7 @@ never pays for numpy.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -48,19 +50,21 @@ __all__ = [
 
 
 class SeriesBudget(_Value):
-    """Truncation budgets for the brute-force sums."""
+    """Truncation budgets for the brute-force sums: integers of at least 10^3."""
 
     __match_args__ = __slots__ = ("max_images", "max_modes")
     max_images: int
     max_modes: int
 
     def __init__(self, max_images: int = 10**6, max_modes: int = 10**4) -> None:
-        if max_images < 10**3:
-            raise ValueError("max_images must be at least 10^3")
-        if max_modes < 10**3:
-            raise ValueError("max_modes must be at least 10^3")
-        object.__setattr__(self, "max_images", max_images)
-        object.__setattr__(self, "max_modes", max_modes)
+        for name, value in (("max_images", max_images), ("max_modes", max_modes)):
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            if value < 10**3:
+                raise ValueError(f"{name} must be at least 10^3")
+            object.__setattr__(self, name, value)
 
 
 class CutoffSchedule(_Value):
@@ -73,7 +77,8 @@ class CutoffSchedule(_Value):
     __match_args__ = __slots__ = ("alphas",)
     alphas: tuple[float, ...]
 
-    def __init__(self, alphas: tuple[float, ...]) -> None:
+    def __init__(self, alphas: Sequence[float]) -> None:
+        alphas = tuple(alphas)
         if len(alphas) < 4:
             raise ValueError("need at least 4 cutoff values")
         if not all(0.0 < a < math.inf for a in alphas):
@@ -95,46 +100,31 @@ def default_cutoff_schedule(*, scale: float = 1.0) -> CutoffSchedule:
     return CutoffSchedule(alphas=tuple(scale * 0.014 * 2.0 ** (-k / 2.0) for k in range(8)))
 
 
-# numpy sums a contiguous float64 array pairwise: a range of more than 128
-# terms is split at n/2 rounded down to a multiple of 8, each part is summed
-# the same way and the two sums are added. _pairwise_sum splits at the same
-# points down to ranges of at most `block` (>= 128) terms and hands each to
-# .sum(), so it returns the bits of one .sum() over the whole array while
-# holding one block of terms. The 0.0 each .sum() starts from changes no bit
-# but the sign of a zero, which the whole array's 0.0 start sets the same way.
+# numpy sums each block of _BLOCK consecutive terms, math.fsum the block sums;
+# the bits are fixed for one numpy build and change with the block size.
 _BLOCK = 2**14
 
 
-def _pairwise_sum(
+def _block_sum(
     first: int, count: int, terms: Callable[[np.ndarray], None], block: int = _BLOCK
 ) -> float:
-    # numpy's sum of the count terms of indices first, first + 1, ...;
+    # The sum of the count terms of indices first, first + 1, ...;
     # terms(buffer) turns a buffer of consecutive indices, as doubles, into
     # their terms in place.
     import numpy as np
 
     steps = np.arange(min(count, block), dtype=np.float64)
-    return _pairwise_range(first, count, terms, steps, np.empty_like(steps))
-
-
-def _pairwise_range(
-    start: int, n: int, terms: Callable[[np.ndarray], None], steps: np.ndarray, buffer: np.ndarray
-) -> float:
-    # A function of its own, not a closure: a nested function that calls
-    # itself is a reference cycle, which would keep the buffers alive until
-    # the garbage collector runs.
-    import numpy as np
-
-    if n > buffer.size:
-        half = n // 2
-        half -= half % 8
-        return _pairwise_range(start, half, terms, steps, buffer) + _pairwise_range(
-            start + half, n - half, terms, steps, buffer
-        )
-    part = buffer[:n]
-    np.add(steps[:n], float(start), out=part)
-    terms(part)
-    return float(part.sum())
+    buffer = np.empty_like(steps)
+    sums = []
+    for start in range(first, first + count, block):
+        part = buffer[: min(block, first + count - start)]
+        np.add(steps[: part.size], float(start), out=part)
+        terms(part)
+        sums.append(float(part.sum()))
+    try:
+        return math.fsum(sums)
+    except OverflowError:  # the block sums overflow together; their plain sum is infinite
+        return sum(sums)
 
 
 def _check_green(name: str, kbar: float, z: float, zp: float, L: float) -> None:
@@ -224,7 +214,7 @@ def green_mode_sum(
         n *= other
         n /= den
 
-    return (2.0 / L) * _pairwise_sum(1, budget.max_modes, terms) + extra
+    return (2.0 / L) * _block_sum(1, budget.max_modes, terms) + extra
 
 
 def image_profile_sum(dim_D: int, x: float, budget: SeriesBudget) -> float:
@@ -241,9 +231,9 @@ def image_profile_sum(dim_D: int, x: float, budget: SeriesBudget) -> float:
 
         max_images   worst error   nine sums
         10^3         3.06e-14        0.2 ms
-        10^4         6.65e-16        0.8 ms
-        10^5         4.47e-16        7.4 ms
-        10^6         4.47e-16       74 ms
+        10^4         4.44e-16        0.8 ms
+        10^5         6.56e-16        6.9 ms
+        10^6         4.43e-16       68 ms
     """
     if not 2 <= dim_D < math.inf:
         raise DomainError(f"image_profile_sum: requires a finite D >= 2, got {dim_D}")
@@ -265,7 +255,7 @@ def image_profile_sum(dim_D: int, x: float, budget: SeriesBudget) -> float:
         np.power(j, power, out=j)
 
     with np.errstate(over="ignore"):  # an infinite total is rejected below
-        total = _pairwise_sum(-j_cap, 2 * j_cap + 1, terms)
+        total = _block_sum(-j_cap, 2 * j_cap + 1, terms)
     if total == math.inf:  # two terms near the largest double, at a D above 1000
         raise DomainError(f"image_profile_sum: the sum overflows a double at D={dim_D}, x={x}")
     try:
@@ -333,7 +323,7 @@ def _regulated_energy_d3(alpha: float, max_modes: int) -> float:
         np.square(m, out=m)
         m *= g
 
-    return _pairwise_sum(1, n_max, terms, block=_D3_ROWS) / (2.0 * math.pi)
+    return _block_sum(1, n_max, terms, block=_D3_ROWS) / (2.0 * math.pi)
 
 
 # The most that rounding the largest regulated energy alone may move the fitted

@@ -322,8 +322,8 @@ HEAD = 4
 def checks(quick: bool = False) -> list[Callable[[], list[CheckResult]]]:
     """The suite as zero-argument callables, in row order; each returns its results."""
     relax = 100.0 if quick else 1.0
-    # 10^5 images reach the error of 10^6 in a tenth of the time (see the
-    # table in oracle.image_profile_sum)
+    # 10^5 images reach the rounding level of 10^6 in a tenth of the time
+    # (see the table in oracle.image_profile_sum)
     images = 10**4 if quick else 10**5
     modes = 10**3 if quick else 10**4
     # the smallest regulator in the scaled schedule dictates the number

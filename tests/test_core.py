@@ -134,6 +134,7 @@ def test_spacetime_and_theory_copy_and_pickle():
         oracle.SeriesBudget(),
         oracle.SeriesBudget(10**5, max_modes=2000),
         oracle.default_cutoff_schedule(scale=6.0),
+        oracle.CutoffSchedule([0.014, 0.01, 0.007, 0.001]),
         oracle.ProfileEnergy(1.5, -0.25, total=1.25),
         verify.CheckResult("check", 1e-12, 1e-10),
     ):

@@ -187,7 +187,9 @@ REGISTRY = {
     "specfun.cot_derivative": _args(
         st.one_of(st.integers(-2, 170), FLOATS), _inside(0.0, math.pi)
     ),
-    "oracle.SeriesBudget": _args(st.integers(max_value=10**3), st.integers(max_value=10**3)),
+    # Floats too: a NaN or infinite budget was once kept, and a finite float
+    # one made the sums raise TypeError.
+    "oracle.SeriesBudget": _args(*[st.one_of(st.integers(max_value=10**3), FLOATS)] * 2),
     "oracle.CutoffSchedule": _args(
         st.one_of(st.lists(FLOATS, max_size=8), st.lists(st.one_of(POSITIVE, NON_FINITE), min_size=4, max_size=8, unique=True).map(
             lambda alphas: sorted(alphas, reverse=True)

@@ -38,6 +38,11 @@ def test_series_budget_validation():
         oracle.SeriesBudget(max_images=100)
     with pytest.raises(ValueError):
         oracle.SeriesBudget(max_modes=10)
+    # a float budget was once kept, and a sum then raised TypeError on it
+    for field, value in (("max_images", 1e4), ("max_modes", 1e4), ("max_modes", 2500.5)):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            oracle.SeriesBudget(**{field: value})
+    assert oracle.SeriesBudget(np.int64(5000)) == oracle.SeriesBudget(5000)
 
 
 def test_image_profile_sum_rejects_non_finite_dimensions():
@@ -159,18 +164,24 @@ def test_green_mode_sum_matches_closed_form():
     assert abs(got - want) < 1e-6
 
 
+def _block_rule_sum(terms, block=oracle._BLOCK):
+    # The oracles' summation rule over a whole array of terms: numpy sums
+    # each run of `block` consecutive terms, math.fsum the run sums.
+    return math.fsum(float(terms[i : i + block].sum()) for i in range(0, terms.size, block))
+
+
 def _reference_green_mode_sum(kbar, z, zp, L, bc, budget):
-    # the whole-array expression green_mode_sum evaluates block by block
+    # the whole-array terms green_mode_sum evaluates block by block in place
     phase = np.pi / L
     n = np.arange(1, budget.max_modes + 1, dtype=np.float64)
     denom = kbar * kbar + (n * phase) ** 2
     trig = np.sin if bc is ScalarBC.DIRICHLET else np.cos
     terms = trig(n * (phase * z)) * trig(n * (phase * zp)) / denom
     extra = 1.0 / (L * kbar * kbar) if bc is ScalarBC.NEUMANN else 0.0
-    return (2.0 / L) * float(terms.sum()) + extra
+    return (2.0 / L) * _block_rule_sum(terms) + extra
 
 
-def test_green_mode_sum_keeps_the_whole_array_bits():
+def test_green_mode_sum_in_place_terms_give_the_block_rule_bits():
     block = oracle._BLOCK
     for max_modes in (10**3, 10**4, block - 1, block, block + 1, 2 * 10**4, 8 * block + 3):
         budget = oracle.SeriesBudget(max_modes=max_modes)
@@ -266,16 +277,16 @@ def test_image_sum_agrees_with_closed_profile():
 
 
 def _reference_image_profile_sum(dim_D, x, budget):
-    # the whole-array expression image_profile_sum evaluates block by block
+    # the whole-array terms image_profile_sum evaluates block by block in place
     j_cap = budget.max_images
     j = np.arange(-j_cap, j_cap + 1, dtype=np.float64)
-    total = float((np.abs(j + x) ** (-float(dim_D))).sum())
+    total = _block_rule_sum(np.abs(j + x) ** (-float(dim_D)))
     return total + 2.0 / ((dim_D - 1) * float(j_cap) ** (dim_D - 1))
 
 
-def test_image_sum_in_place_keeps_the_out_of_place_bits():
+def test_image_sum_in_place_terms_give_the_block_rule_bits():
     # 2J + 1 = 2^14 (one block) is even, so J = 8191 and 8192 straddle it;
-    # 2J + 1 = 8 blocks + 3 splits into 16 blocks, the last ranges uneven
+    # 2J + 1 = 8 blocks + 3 leaves a last block of 3 terms
     block = oracle._BLOCK
     budgets = (
         oracle.SeriesBudget(),
@@ -304,6 +315,11 @@ def test_image_sum_domain():
     for dim, x in ((2, 1e-160), (2, 1e-300), (12, 1e-30), (24, 1.0 - 2.0**-52)):
         with pytest.raises(DomainError):
             oracle.image_profile_sum(dim, x, budget)
+    # the two 2^1023 terms of j = -1 and 0 add to an overflow, within one block
+    # and, at J = 2^14, across a block edge, where math.fsum raises OverflowError
+    for j_cap in (1000, 2**14):
+        with pytest.raises(DomainError, match="overflows"):
+            oracle.image_profile_sum(1023, 0.5, oracle.SeriesBudget(max_images=j_cap))
     assert rel_err(oracle.image_profile_sum(2, 1e-150, budget), 1e300) < 1e-15
     # J^(D-1) of the tail correction overflows; the tail itself is negligible
     assert oracle.image_profile_sum(104, 0.5, budget) == 2.0**105
@@ -352,7 +368,7 @@ def test_cutoff_energy_regulator_independence():
 
 
 def _reference_regulated_energy_d3(alpha):
-    # the whole-array expression oracle._regulated_energy_d3 evaluates block by block
+    # the whole-array terms oracle._regulated_energy_d3 evaluates block by block in place
     mu = math.pi
     n_max = int(math.ceil(45.0 / (alpha * mu)))
     m = mu * np.arange(1, n_max + 1, dtype=np.float64)
@@ -364,10 +380,10 @@ def _reference_regulated_energy_d3(alpha):
     weights[0] *= 0.5
     with np.errstate(under="ignore"):
         g = np.exp(-np.outer(x, ch)) @ weights
-    return float((m * m * g).sum()) / (2.0 * math.pi)
+    return _block_rule_sum(m * m * g, oracle._D3_ROWS) / (2.0 * math.pi)
 
 
-def test_regulated_energy_d3_in_place_keeps_the_out_of_place_bits():
+def test_regulated_energy_d3_in_place_terms_give_the_block_rule_bits():
     # at L = 1, on the cutoffs in units of L of the default schedules at
     # L = 0.37 and 2.5 too, with each budget that holds the modes
     for length in (1.0, 0.37, 2.5):
@@ -381,7 +397,7 @@ def test_regulated_energy_d3_in_place_keeps_the_out_of_place_bits():
                     want = _reference_regulated_energy_d3(alpha)
                     assert got.hex() == want.hex(), (alpha, max_modes)
     # more modes than one block of an image sum holds (each energy is summed
-    # in ranges of at most 2048 modes)
+    # in blocks of 512 modes)
     block = oracle._BLOCK
     for n_max in (28648, 8 * block + 3):
         alpha = 45.0 / (PI * (n_max - 0.5))
@@ -389,6 +405,47 @@ def test_regulated_energy_d3_in_place_keeps_the_out_of_place_bits():
         got = oracle._regulated_energy_d3(alpha, 10 * block)
         want = _reference_regulated_energy_d3(alpha)
         assert got.hex() == want.hex(), alpha
+
+
+def test_every_series_lies_within_a_stated_bound_of_its_exact_sum(monkeypatch):
+    # numpy's pairwise sum of at most 2^14 terms puts each term through at
+    # most 31 rounded additions (8 running sums over runs of at most 128
+    # terms, then halving), so a block's sum is within gamma_31 sum|t_i| of
+    # the exact one, gamma_n = n u / (1 - n u) and u = 2^-53 (Higham,
+    # Accuracy and Stability of Numerical Algorithms, 2002, section 4.2).
+    # math.fsum over the block sums and the reference math.fsum over the
+    # terms round once each, within u sum|t_i|: in all, under 34 u sum|t_i|.
+    real = oracle._block_sum
+    series = []
+
+    def spy(first, count, terms, block=oracle._BLOCK):
+        got = real(first, count, terms, block)
+        values = []
+
+        def keep(buffer):
+            terms(buffer)
+            values.extend(buffer.tolist())
+
+        real(first, count, keep, block)
+        series.append((got, count, block, values))
+        return got
+
+    monkeypatch.setattr(oracle, "_block_sum", spy)
+    energy = oracle._regulated_energy_d3.__wrapped__
+    block = oracle._BLOCK
+    for max_modes, max_images in ((10**4, 10**3), (7 * block + 5, 2 * block)):
+        budget = oracle.SeriesBudget(max_images=max_images, max_modes=max_modes)
+        for bc in ScalarBC:
+            oracle.green_mode_sum(7.086920641914623, 0.14657744030982506, 0.7, 1.0, bc, budget)
+        for dim, x in ((3, 0.5), (4, 0.1), (12, 0.77)):
+            oracle.image_profile_sum(dim, x, budget)
+    for n_max in (300, 28648):  # part of one block of 512 modes, and 56 blocks
+        energy(45.0 / (PI * (n_max - 0.5)), 40000)
+    assert {count > size for _, count, size, _ in series} == {False, True}
+    for got, count, size, values in series:
+        assert len(values) == count
+        bound = 34 * 2.0**-53 * math.fsum(map(abs, values))
+        assert abs(got - math.fsum(values)) <= bound, (count, size)
 
 
 def _traced_bytes(fn):
@@ -472,7 +529,7 @@ def test_cutoff_energy_is_the_same_fit_at_every_length():
     # The cutoffs are in units of L, so only the exact factor L^-(D-1)
     # depends on L. Unscaled cutoffs once gave +5.08 for -130.9 at D = 2,
     # L = 1e-3, and a truncated mode sum +1.13e7 for -2.66e-5 at D = 3, L = 30.
-    for dim, residual in ((2, "8.97e-05"), (3, "2.76e-04")):
+    for dim, residual in ((2, "8.97e-05"), (3, "2.75e-04")):
         for length in (1.0, 1e-3, 0.37, 7.5, 30.0, 1e3):
             assert f"{_cutoff_residual(dim, length):.2e}" == residual, (dim, length)
 
