@@ -30,7 +30,7 @@ from .core import (
     scalar_energy_density,
     total_energy_per_area,
 )
-from .errors import DomainError, IllConditionedFitError, InsufficientSamplesError
+from .errors import DomainError, InsufficientSamplesError
 from .specfun import cot_derivative, gamma, hurwitz_zeta, riemann_zeta
 
 __version__ = "0.1.0"
@@ -38,7 +38,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "DomainError",
-    "IllConditionedFitError",
     "InsufficientSamplesError",
     "gamma",
     "riemann_zeta",

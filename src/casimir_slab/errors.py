@@ -11,9 +11,5 @@ class DomainError(ValueError):
     """
 
 
-class IllConditionedFitError(ValueError):
-    """Cutoff-regulator fit requested over too narrow an alpha range."""
-
-
 class InsufficientSamplesError(ValueError):
     """A profile quadrature was asked to run on too few samples."""

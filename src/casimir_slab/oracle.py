@@ -14,10 +14,9 @@ run on one numpy build (they depend on the block size), and the working
 memory does not grow with the truncation budget.
 
 numpy is imported by the functions that sum a series, on first use, so
-importing this module, building its budgets and schedules and
-integrating a sampled profile never load it: a process that runs only
-the checks that need none of these sums, as verify's forked worker does,
-never pays for numpy.
+importing this module, building its budgets and integrating a sampled
+profile never load it: a process that runs only the checks that need
+none of these sums, as verify's forked worker does, never pays for numpy.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .core import _INTERIOR, _LEFT_EXTERIOR, _RIGHT_EXTERIOR, ScalarBC, _Value
-from .errors import DomainError, IllConditionedFitError, InsufficientSamplesError
+from .errors import DomainError, InsufficientSamplesError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -38,8 +37,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "SeriesBudget",
-    "CutoffSchedule",
-    "default_cutoff_schedule",
     "green_closed",
     "green_mode_sum",
     "image_profile_sum",
@@ -49,8 +46,13 @@ __all__ = [
 ]
 
 
+# The largest budget: every index of a sum stays an exact double, and the
+# longest sum, of 2^32 Green-function modes, already takes about 1.5 minutes.
+_MAX_BUDGET = 2**32
+
+
 class SeriesBudget(_Value):
-    """Truncation budgets for the brute-force sums: integers of at least 10^3."""
+    """Truncation budgets for the brute-force sums: integers from 10^3 to 2^32."""
 
     __match_args__ = __slots__ = ("max_images", "max_modes")
     max_images: int
@@ -62,42 +64,9 @@ class SeriesBudget(_Value):
                 value = operator.index(value)
             except TypeError:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
-            if value < 10**3:
-                raise ValueError(f"{name} must be at least 10^3")
+            if not 10**3 <= value <= _MAX_BUDGET:
+                raise ValueError(f"{name} must lie between 10^3 and 2^32")
             object.__setattr__(self, name, value)
-
-
-class CutoffSchedule(_Value):
-    """Exponential-regulator values, in units of the plate gap L.
-
-    alphas: finite, positive and strictly decreasing; they must span at
-    least a decade for the fit to be well conditioned.
-    """
-
-    __match_args__ = __slots__ = ("alphas",)
-    alphas: tuple[float, ...]
-
-    def __init__(self, alphas: Sequence[float]) -> None:
-        alphas = tuple(alphas)
-        if len(alphas) < 4:
-            raise ValueError("need at least 4 cutoff values")
-        if not all(0.0 < a < math.inf for a in alphas):
-            raise ValueError("cutoff values must be positive and finite")
-        if any(b >= a for a, b in zip(alphas, alphas[1:])):
-            raise ValueError("cutoff values must be strictly decreasing")
-        object.__setattr__(self, "alphas", alphas)
-
-
-def default_cutoff_schedule(*, scale: float = 1.0) -> CutoffSchedule:
-    """Eight regulator values from 0.014 L down by factors of sqrt(2).
-
-    The range [0.0012, 0.014] (times `scale`) keeps the residual
-    curvature of the regulated sum well below the extraction tolerance
-    while spanning comfortably more than a decade, with enough headroom
-    that rescaling the whole schedule by 2 moves the answer by well
-    under a part in 500.
-    """
-    return CutoffSchedule(alphas=tuple(scale * 0.014 * 2.0 ** (-k / 2.0) for k in range(8)))
 
 
 # numpy sums each block of _BLOCK consecutive terms, math.fsum the block sums;
@@ -278,19 +247,17 @@ def _regulated_energy_d2(alpha: float) -> float:
 _D3_ROWS = 512
 
 
-# The default schedule scaled by 2 shares six of its eight cutoffs bit for
-# bit with the unscaled one, so a regulator-independence check that fits
-# both evaluates ten energies, not sixteen. The cache holds only floats.
+# The cutoffs at scale 2s share six of their eight with those at scale s,
+# bit for bit, so a regulator-independence check that fits both evaluates
+# ten energies, not sixteen. The cache holds only floats.
 @lru_cache(maxsize=64)
-def _regulated_energy_d3(alpha: float, max_modes: int) -> float:
+def _regulated_energy_d3(alpha: float) -> float:
     # One transverse continuum at L = 1: E(alpha) = (1/2pi) sum_n m_n^2
     # g(alpha m_n) with m_n = n pi and g(x) = int_0^inf cosh^2(t) e^(-x cosh t)
     # dt, over the modes with alpha m_n <= 45. The substitution makes the
     # integrand decay double-exponentially, so a plain trapezoid rule on a
     # fixed t grid converges to machine precision.
     n_max = math.ceil(45.0 / (alpha * math.pi))
-    if n_max > max_modes:
-        raise DomainError(f"cutoff_casimir_energy: alpha={alpha} needs {n_max} modes > {max_modes}")
     import numpy as np
 
     h = 0.15
@@ -326,31 +293,46 @@ def _regulated_energy_d3(alpha: float, max_modes: int) -> float:
     return _block_sum(1, n_max, terms, block=_D3_ROWS) / (2.0 * math.pi)
 
 
+# The largest scale of the cutoffs. The fit's error grows as scale^2; 16 is
+# the largest power of two at which it stays below 0.1, the loosest tolerance
+# verify holds the oracle to.
+_MAX_SCALE = 16
+
+# The most modes a D = 3 energy sums, ceil(45 / (alpha pi)) at its smallest
+# cutoff alpha: this admits every scale from 0.354, and the rounding check
+# below already rejects every scale under 0.42.
+_D3_MAX_MODES = 2**15
+
 # The most that rounding the largest regulated energy alone may move the fitted
-# constant, relative to it: 2^-52 max|E(alpha)| / |constant|. On verify's
-# schedules this is at most 7.8e-7 (D = 3, scale 1); at D = 2 the default
-# schedule scaled by 1e-3 reaches 1.8e-4 and misses the constant by 1.4e-4.
+# constant, relative to it: 2^-52 max|E(alpha)| / |constant|. At the scales
+# verify uses this is at most 7.8e-7 (D = 3, scale 1); at D = 2, scale 1e-3
+# reaches 1.8e-4 and misses the constant by 1.4e-4.
 _ROUNDING_BOUND = 1e-5
 
 
-def cutoff_casimir_energy(
-    dim_D: int, L: float, schedule: CutoffSchedule, budget: SeriesBudget
-) -> float:
+def cutoff_casimir_energy(dim_D: int, L: float, *, scale: float = 1.0) -> float:
     """Finite part of the exponentially regulated zero-point energy.
 
     Evaluates E(alpha) = 1/2 sum_n (int) omega e^(-alpha omega) at L = 1
-    on the schedule's cutoffs, which are in units of L, removes the
-    divergent 1/alpha^p terms (p = D, ..., 1) by least squares and
-    returns the remaining constant times the exact L^-(D-1): an
-    extraction of the (per-area) vacuum energy that never touches zeta
-    continuation. Supported for D = 2 (pure mode sum, closed form) and
-    D = 3 (one transverse integral per mode, done by quadrature).
-    DomainError if L^-(D-1) is not a normal double, if a cutoff exceeds
-    700 / pi, if D = 3 needs more than max_modes modes, or if the
-    cutoffs are so small that rounding swamps the constant: where
-    2^-52 max|E(alpha)| exceeds 1e-5 times its magnitude. Working
-    memory at D = 3: 512 modes x the quadrature nodes, at most; at the
-    smallest default cutoff, 512 x 87 doubles (0.36 MB).
+    on eight cutoffs, scale times 0.014 down by factors of sqrt(2) in
+    units of L, removes the divergent 1/alpha^p terms (p = D, ..., 1) by
+    least squares and returns the remaining constant times the exact
+    L^-(D-1): an extraction of the (per-area) vacuum energy that never
+    touches zeta continuation. Supported for D = 2 (pure mode sum, closed
+    form) and D = 3 (one transverse integral per mode, done by
+    quadrature). The error of the fit grows as scale^2; relative to
+    core.total_energy_per_area at L = 1:
+
+        scale     1        6        12       16
+        D = 2     9.0e-5   3.2e-3   1.3e-2   2.3e-2
+        D = 3     2.8e-4   9.9e-3   3.9e-2   6.9e-2
+
+    DomainError if L^-(D-1) is not a normal double, unless
+    0 < scale <= 16, if D = 3 needs more than 2^15 modes (scale below
+    0.354), or if the cutoffs are so small that rounding swamps the
+    constant: where 2^-52 max|E(alpha)| exceeds 1e-5 times its
+    magnitude. Working memory at D = 3: 512 modes x the quadrature
+    nodes, at most; at scale 1, 512 x 87 doubles (0.36 MB).
     """
     if dim_D not in (2, 3):
         raise DomainError("cutoff_casimir_energy: only D in {2, 3} is supported")
@@ -362,25 +344,21 @@ def cutoff_casimir_energy(
         factor = math.inf
     if not sys.float_info.min <= factor < math.inf:
         raise DomainError(f"cutoff_casimir_energy: L={L} puts L^-(D-1) out of the normal range")
-    if schedule.alphas[0] * math.pi > 700.0:
-        raise DomainError(f"cutoff_casimir_energy: alpha={schedule.alphas[0]} is too large")
-    if schedule.alphas[0] / schedule.alphas[-1] < 10.0:
-        raise IllConditionedFitError(
-            "cutoff schedule must span at least one decade in alpha"
-        )
+    if not 0.0 < scale <= _MAX_SCALE:
+        raise DomainError(f"cutoff_casimir_energy: requires 0 < scale <= 16, got {scale}")
+    alphas = [scale * 0.014 * 2.0 ** (-k / 2.0) for k in range(8)]
+    # Compared without dividing: a subnormal scale rounds the cutoffs to 0.
+    if dim_D == 3 and not 45.0 <= alphas[-1] * math.pi * _D3_MAX_MODES:
+        raise DomainError(f"cutoff_casimir_energy: scale={scale} needs more than 2^15 modes")
     import numpy as np
 
+    energy = _regulated_energy_d2 if dim_D == 2 else _regulated_energy_d3
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            if dim_D == 2:
-                energies = np.array([_regulated_energy_d2(a) for a in schedule.alphas])
-            else:
-                energies = np.array(
-                    [_regulated_energy_d3(a, budget.max_modes) for a in schedule.alphas]
-                )
-            alphas = np.asarray(schedule.alphas, dtype=np.float64)
-            columns = [alphas ** (-float(p)) for p in range(dim_D, 0, -1)]
-            columns.append(np.ones_like(alphas))
+            energies = np.array([energy(a) for a in alphas])
+            cutoffs = np.array(alphas)
+            columns = [cutoffs ** (-float(p)) for p in range(dim_D, 0, -1)]
+            columns.append(np.ones_like(cutoffs))
             design = np.column_stack(columns)
             norms = np.linalg.norm(design, axis=0)
             coef, *_ = np.linalg.lstsq(design / norms, energies, rcond=None)
@@ -390,7 +368,7 @@ def cutoff_casimir_energy(
         constant = rounding = math.nan  # an energy or a power of a cutoff left the doubles
     if not rounding <= _ROUNDING_BOUND * abs(constant):
         raise DomainError(
-            f"cutoff_casimir_energy: alpha={schedule.alphas[-1]} is too small; "
+            f"cutoff_casimir_energy: scale={scale} is too small; "
             "the rounding of the regulated energies swamps the constant"
         )
     return constant * factor

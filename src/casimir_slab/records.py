@@ -67,6 +67,8 @@ class Profile:
     samples: tuple[ProfileSample, ...]
 
     def __post_init__(self) -> None:
+        # Kept as a tuple, so a Profile built from a list or an iterator is the same value.
+        object.__setattr__(self, "samples", tuple(self.samples))
         zs = [s.z for s in self.samples]
         if any(b <= a for a, b in zip(zs, zs[1:])):
             raise ValueError("profile samples must be strictly increasing in z")

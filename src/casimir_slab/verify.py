@@ -4,9 +4,9 @@ Each check reports the worst residual it observed together with the
 tolerance it was held to; the CLI renders the results as a
 machine-readable table. Quick mode trades confidence for runtime: it
 sums a tenth of the images and of the Green-function modes, fits
-cutoffs six times larger with a twentieth of the D = 3 mode budget,
-integrates a quarter of the interior samples, and relaxes every
-tolerance 100x except those of the two convergence rates.
+cutoffs six times larger, integrates a quarter of the interior samples,
+and relaxes every tolerance 100x except those of the two convergence
+rates.
 
 Importing this module does not load numpy. Of the checks, only the
 first HEAD, among them every one whose oracle sums a series, load it.
@@ -136,7 +136,7 @@ def _check_green(budget: oracle.SeriesBudget, tol: float) -> list[CheckResult]:
     ]
 
 
-def _check_cutoff(budget: oracle.SeriesBudget, tol: float, scale: float) -> list[CheckResult]:
+def _check_cutoff(tol: float, scale: float) -> list[CheckResult]:
     worst = 0.0
     drift = 0.0
     for dim in (2, 3):
@@ -144,11 +144,9 @@ def _check_cutoff(budget: oracle.SeriesBudget, tol: float, scale: float) -> list
         want = core.total_energy_per_area(
             st, Theory(TheoryKind.SCALAR_CANONICAL, ScalarBC.DIRICHLET)
         )
-        sched = oracle.default_cutoff_schedule(scale=scale)
-        got = oracle.cutoff_casimir_energy(dim, 1.0, sched, budget)
+        got = oracle.cutoff_casimir_energy(dim, 1.0, scale=scale)
         worst = max(worst, _rel(got, want))
-        doubled = oracle.default_cutoff_schedule(scale=2.0 * scale)
-        got_doubled = oracle.cutoff_casimir_energy(dim, 1.0, doubled, budget)
+        got_doubled = oracle.cutoff_casimir_energy(dim, 1.0, scale=2.0 * scale)
         drift = max(drift, _rel(got_doubled, got))
     return [
         CheckResult("cutoff-zeta-validation", worst, tol),
@@ -326,9 +324,6 @@ def checks(quick: bool = False) -> list[Callable[[], list[CheckResult]]]:
     # (see the table in oracle.image_profile_sum)
     images = 10**4 if quick else 10**5
     modes = 10**3 if quick else 10**4
-    # the smallest regulator in the scaled schedule dictates the number
-    # of modes the D=3 sum needs: 11576 at full budgets, 1930 with quick
-    cutoff_budget = oracle.SeriesBudget(max_modes=2000 if quick else 40000)
     cutoff_scale = 6.0 if quick else 1.0
     budget = oracle.SeriesBudget(max_images=images, max_modes=modes)
     n_interior = 257 if quick else 1025
@@ -337,7 +332,7 @@ def checks(quick: bool = False) -> list[Callable[[], list[CheckResult]]]:
         partial(_check_classic_pressure, 1e-10 * relax),
         partial(_check_f_dual_forms, budget, 1e-9 * relax),
         partial(_check_green, budget, 1e-6 * relax),
-        partial(_check_cutoff, cutoff_budget, 1e-3 * relax, cutoff_scale),
+        partial(_check_cutoff, 1e-3 * relax, cutoff_scale),
         partial(_check_pressure_constancy, 1e-10 * relax, 1e-7 * relax),
         partial(_check_conformal_and_improved, 1e-10 * relax),
         partial(_check_trace_identity, 1e-10 * relax),

@@ -57,7 +57,6 @@ def test_criterion_01_classic_casimir_pressure(capsys):
 
 
 def test_criterion_02_cutoff_validates_zeta_continuation(capsys):
-    budget = oracle.SeriesBudget(max_modes=40000)
     t0 = time.perf_counter()
     worst = 0.0
     drift = 0.0
@@ -66,13 +65,9 @@ def test_criterion_02_cutoff_validates_zeta_continuation(capsys):
         want = core.total_energy_per_area(
             st, Theory(TheoryKind.SCALAR_CANONICAL, ScalarBC.DIRICHLET)
         )
-        got = oracle.cutoff_casimir_energy(
-            dim, 1.0, oracle.default_cutoff_schedule(), budget
-        )
+        got = oracle.cutoff_casimir_energy(dim, 1.0, scale=1.0)
         worst = max(worst, rel_err(got, want))
-        rescaled = oracle.cutoff_casimir_energy(
-            dim, 1.0, oracle.default_cutoff_schedule(scale=2.0), budget
-        )
+        rescaled = oracle.cutoff_casimir_energy(dim, 1.0, scale=2.0)
         drift = max(drift, rel_err(rescaled, got))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-3

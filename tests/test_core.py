@@ -133,8 +133,6 @@ def test_spacetime_and_theory_copy_and_pickle():
         # the values of oracle and verify are core._Value too
         oracle.SeriesBudget(),
         oracle.SeriesBudget(10**5, max_modes=2000),
-        oracle.default_cutoff_schedule(scale=6.0),
-        oracle.CutoffSchedule([0.014, 0.01, 0.007, 0.001]),
         oracle.ProfileEnergy(1.5, -0.25, total=1.25),
         verify.CheckResult("check", 1e-12, 1e-10),
     ):
@@ -312,15 +310,13 @@ def test_profile_requires_increasing_grid():
     prof = core.subtracted_profile(st4, EmBC.METALLIC, [0.4, 0.2, 0.6])
     assert [s.z for s in prof.samples] == [0.2, 0.4, 0.6]
     tensor = prof.samples[0].tensor
-    with pytest.raises(ValueError):
-        core.Profile(
-            spacetime=st4,
-            theory=MAXWELL_METALLIC,
-            samples=(
-                core.ProfileSample(0.4, Region.INTERIOR, tensor),
-                core.ProfileSample(0.2, Region.INTERIOR, tensor),
-            ),
-        )
+    samples = [
+        core.ProfileSample(0.4, Region.INTERIOR, tensor),
+        core.ProfileSample(0.2, Region.INTERIOR, tensor),
+    ]
+    for built in (tuple(samples), samples, iter(samples)):
+        with pytest.raises(ValueError):
+            core.Profile(spacetime=st4, theory=MAXWELL_METALLIC, samples=built)
 
 
 def test_profile_rejects_non_finite_samples():
@@ -337,9 +333,17 @@ def test_profile_rejects_non_finite_samples():
         with pytest.raises(ValueError):
             core.Profile(prof.spacetime, prof.theory, (bad, *rest))
     last = dataclasses.replace(prof.samples[-1], z=math.inf)
-    with pytest.raises(ValueError):
-        core.Profile(prof.spacetime, prof.theory, (*prof.samples[:-1], last))
-    assert core.Profile(prof.spacetime, prof.theory, prof.samples) == prof
+    for samples in ((*prof.samples[:-1], last), [bad_samples[1], *rest]):
+        with pytest.raises(ValueError):
+            core.Profile(prof.spacetime, prof.theory, samples)
+        # an iterator was once exhausted by the check and its NaN sample accepted
+        with pytest.raises(ValueError):
+            core.Profile(prof.spacetime, prof.theory, iter(samples))
+    # the samples are stored as a tuple: a list or an iterator of them once
+    # gave a Profile unequal to the tuple-built one, and a list an unhashable one
+    for samples in (prof.samples, list(prof.samples), iter(prof.samples)):
+        built = core.Profile(prof.spacetime, prof.theory, samples)
+        assert built == prof and hash(built) == hash(prof) and built.samples == prof.samples
 
 
 def test_stress_tensor_trace_relation():

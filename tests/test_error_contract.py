@@ -1,11 +1,10 @@
 """The error contract over every public name of core, specfun and oracle.
 
 Each call returns finite floats (a float, or a record or tuple of them)
-or raises ValueError, of which DomainError, IllConditionedFitError and
-InsufficientSamplesError are subclasses, and it emits no warning. One
-property checks this for every name in the __all__ of the three modules,
-each with its own argument strategy from REGISTRY; a public name with no
-strategy fails it.
+or raises ValueError, of which DomainError and InsufficientSamplesError
+are subclasses, and it emits no warning. One property checks this for
+every name in the __all__ of the three modules, each with its own
+argument strategy from REGISTRY; a public name with no strategy fails it.
 """
 
 import dataclasses
@@ -82,9 +81,8 @@ ANY_SAMPLES = st.builds(
 
 
 def _cutoff_args(dims, lengths, exponents):
-    # cutoff_casimir_energy's arguments with the default schedule scaled by 10^exponent.
-    schedules = exponents.map(lambda e: oracle.default_cutoff_schedule(scale=10.0**e))
-    return _args(dims, lengths, schedules, st.just(BUDGET))
+    # cutoff_casimir_energy's arguments with the cutoffs scaled by 10^exponent.
+    return _args(dims, lengths, scale=exponents.map(lambda e: 10.0**e))
 
 
 SUPPORTED_DIMS = st.sampled_from([2, 3])
@@ -96,25 +94,17 @@ def _decades(low, high, step=1.0):
     return st.sampled_from([low + step * k for k in range(int((high - low) / step) + 1)])
 
 
-# cutoff_casimir_energy's arguments in six regimes: anything; D = 2, 3 with a
-# schedule that fits, at every L from 0 to 1; at D = 2 and, as its own
-# regime, at D = 3, the default schedule scaled by 1e-12 (the sums need more
-# modes than the budget, or rounding swamps the constant) to 1e10 (the
-# cutoffs are too large); scaled by 1e-300 to 1e-12, where the energies and
-# the fit's powers leave the doubles; any cutoffs.
+# cutoff_casimir_energy's arguments in five regimes: anything, any scale
+# among every double; D = 2, 3 with a scale that fits, at every L from 0 to
+# 1; at D = 2 and, as its own regime, at D = 3, scales from 1e-12 (the sums
+# need more modes than the cap, or rounding swamps the constant) to 1e10
+# (above the largest scale); scales from 1e-300 to 1e-12, where the
+# energies and the fit's powers leave the doubles.
 CUTOFF_ARGS = st.one_of(
-    _cutoff_args(DIMS_OR_NON_FINITE, FLOATS, st.floats(-300.0, 300.0)),
+    _args(DIMS_OR_NON_FINITE, FLOATS, scale=FLOATS),
     _cutoff_args(SUPPORTED_DIMS, _decades(-330, 0).map(lambda e: 10.0**e), st.just(1.1)),
     *(_cutoff_args(st.just(d), st.floats(1e-3, 1e3), _decades(-12, 10, 0.5)) for d in (2, 3)),
     _cutoff_args(SUPPORTED_DIMS, st.just(1.0), _decades(-300, -12)),
-    _args(
-        SUPPORTED_DIMS,
-        st.just(1.0),
-        st.lists(POSITIVE, min_size=4, max_size=8, unique=True).map(
-            lambda alphas: oracle.CutoffSchedule(tuple(sorted(alphas, reverse=True)))
-        ),
-        st.just(BUDGET),
-    ),
 )
 
 
@@ -188,14 +178,9 @@ REGISTRY = {
         st.one_of(st.integers(-2, 170), FLOATS), _inside(0.0, math.pi)
     ),
     # Floats too: a NaN or infinite budget was once kept, and a finite float
-    # one made the sums raise TypeError.
-    "oracle.SeriesBudget": _args(*[st.one_of(st.integers(max_value=10**3), FLOATS)] * 2),
-    "oracle.CutoffSchedule": _args(
-        st.one_of(st.lists(FLOATS, max_size=8), st.lists(st.one_of(POSITIVE, NON_FINITE), min_size=4, max_size=8, unique=True).map(
-            lambda alphas: sorted(alphas, reverse=True)
-        )).map(tuple)
-    ),
-    "oracle.default_cutoff_schedule": _args(scale=FLOATS),
+    # one made the sums raise TypeError. 10^400 was once kept, and a sum then
+    # raised OverflowError.
+    "oracle.SeriesBudget": _args(*[st.one_of(st.integers(max_value=10**400), FLOATS)] * 2),
     "oracle.green_closed": _args(FLOATS, _inside(0.0, 1.0), _inside(0.0, 1.0), _inside(0.5, 2.0)),
     "oracle.green_mode_sum": _args(
         FLOATS, _inside(0.0, 1.0), _inside(0.0, 1.0), _inside(0.5, 2.0), BCS, st.just(BUDGET)

@@ -10,11 +10,7 @@ import pytest
 
 from casimir_slab import core, oracle
 from casimir_slab.core import EmBC, ScalarBC, Spacetime, Theory, TheoryKind
-from casimir_slab.errors import (
-    DomainError,
-    IllConditionedFitError,
-    InsufficientSamplesError,
-)
+from casimir_slab.errors import DomainError, InsufficientSamplesError
 
 PI = math.pi
 
@@ -45,6 +41,16 @@ def test_series_budget_validation():
     assert oracle.SeriesBudget(np.int64(5000)) == oracle.SeriesBudget(5000)
 
 
+def test_series_budget_has_an_upper_bound():
+    # 10^400 was once kept, and a sum then raised OverflowError converting it
+    # to a double; 10^18 was kept too, and a sum ran for ages.
+    for field in ("max_images", "max_modes"):
+        for value in (2**32 + 1, 10**400):
+            with pytest.raises(ValueError, match=f"^{field} must lie between"):
+                oracle.SeriesBudget(**{field: value})
+        assert getattr(oracle.SeriesBudget(**{field: 2**32}), field) == 2**32
+
+
 def test_image_profile_sum_rejects_non_finite_dimensions():
     # D = inf once gave inf and D = nan gave nan: 0.3 ** -inf does not overflow.
     budget = oracle.SeriesBudget(max_images=10**3, max_modes=10**3)
@@ -61,25 +67,6 @@ def test_image_profile_sum_raises_where_the_sum_overflows():
     with pytest.raises(DomainError, match="overflows"):
         oracle.image_profile_sum(1023.5, 0.5, budget)
     assert math.isfinite(oracle.image_profile_sum(1000.0, 0.5, budget))
-
-
-def test_cutoff_schedule_validation():
-    with pytest.raises(ValueError):
-        oracle.CutoffSchedule(alphas=(0.1, 0.05, 0.01))
-    with pytest.raises(ValueError):
-        oracle.CutoffSchedule(alphas=(0.1, 0.2, 0.05, 0.01))
-
-
-def test_cutoff_schedule_rejects_non_finite_cutoffs():
-    # an inf once gave a wrong constant, and a nan a LAPACK error
-    for bad in (math.inf, math.nan):
-        for alphas in ((bad, 0.01, 0.005, 0.001), (0.1, 0.01, 0.005, bad)):
-            with pytest.raises(ValueError):
-                oracle.CutoffSchedule(alphas=alphas)
-        with pytest.raises(ValueError):
-            oracle.default_cutoff_schedule(scale=bad)
-    with pytest.raises(TypeError):  # scale is keyword-only; 3 once meant scale 3
-        oracle.default_cutoff_schedule(3)
 
 
 # ----------------------------------------------------------- green closed
@@ -328,25 +315,32 @@ def test_image_sum_domain():
 # ----------------------------------------------------------------- cutoff
 
 
-CUTOFF_BUDGET = oracle.SeriesBudget(max_modes=40000)
+def _cutoffs(scale):
+    # The eight cutoffs, in units of L, that cutoff_casimir_energy fits at scale.
+    seen = []
+    real = oracle._regulated_energy_d2
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_regulated_energy_d2", lambda alpha: seen.append(alpha) or real(alpha))
+        oracle.cutoff_casimir_energy(2, 1.0, scale=scale)
+    return seen
 
 
 def test_cutoff_energy_d2():
     want = -PI / 24
-    got = oracle.cutoff_casimir_energy(2, 1.0, oracle.default_cutoff_schedule(), CUTOFF_BUDGET)
+    got = oracle.cutoff_casimir_energy(2, 1.0, scale=1.0)
     assert rel_err(got, want) < 1e-3
 
 
 def test_cutoff_energy_d2_length_scaling():
     want = -PI / 48
-    got = oracle.cutoff_casimir_energy(2, 2.0, oracle.default_cutoff_schedule(), CUTOFF_BUDGET)
+    got = oracle.cutoff_casimir_energy(2, 2.0, scale=1.0)
     assert rel_err(got, want) < 1e-3
 
 
 def test_cutoff_energy_d3():
     # frozen from the direct sum: zeta(3) = 1.2020569031595943
     want = -1.2020569031595943 / (16 * PI)
-    got = oracle.cutoff_casimir_energy(3, 1.0, oracle.default_cutoff_schedule(), CUTOFF_BUDGET)
+    got = oracle.cutoff_casimir_energy(3, 1.0, scale=1.0)
     assert rel_err(got, want) < 1e-3
 
 
@@ -354,16 +348,14 @@ def test_cutoff_energy_matches_zeta_route():
     for dim in (2, 3):
         st = Spacetime(dim, 1.0)
         want = core.total_energy_per_area(st, Theory(TheoryKind.SCALAR_CANONICAL, ScalarBC.DIRICHLET))
-        got = oracle.cutoff_casimir_energy(dim, 1.0, oracle.default_cutoff_schedule(), CUTOFF_BUDGET)
+        got = oracle.cutoff_casimir_energy(dim, 1.0, scale=1.0)
         assert rel_err(got, want) < 1e-3
 
 
 def test_cutoff_energy_regulator_independence():
     for dim in (2, 3):
-        a = oracle.cutoff_casimir_energy(dim, 1.0, oracle.default_cutoff_schedule(), CUTOFF_BUDGET)
-        b = oracle.cutoff_casimir_energy(
-            dim, 1.0, oracle.default_cutoff_schedule(scale=2.0), CUTOFF_BUDGET
-        )
+        a = oracle.cutoff_casimir_energy(dim, 1.0, scale=1.0)
+        b = oracle.cutoff_casimir_energy(dim, 1.0, scale=2.0)
         assert rel_err(b, a) < 2e-3
 
 
@@ -384,25 +376,22 @@ def _reference_regulated_energy_d3(alpha):
 
 
 def test_regulated_energy_d3_in_place_terms_give_the_block_rule_bits():
-    # at L = 1, on the cutoffs in units of L of the default schedules at
-    # L = 0.37 and 2.5 too, with each budget that holds the modes
+    # at L = 1, on the cutoffs of verify's scales, and on those cutoffs divided
+    # by L = 0.37 and 2.5 too
     for length in (1.0, 0.37, 2.5):
         for scale in (1.0, 2.0, 6.0, 12.0):
-            for alpha in oracle.default_cutoff_schedule(scale=scale).alphas:
+            for alpha in _cutoffs(scale):
                 alpha /= length
-                for max_modes in (2000, 40000):
-                    if math.ceil(45.0 / (alpha * PI)) > max_modes:
-                        continue
-                    got = oracle._regulated_energy_d3(alpha, max_modes)
-                    want = _reference_regulated_energy_d3(alpha)
-                    assert got.hex() == want.hex(), (alpha, max_modes)
+                got = oracle._regulated_energy_d3(alpha)
+                want = _reference_regulated_energy_d3(alpha)
+                assert got.hex() == want.hex(), alpha
     # more modes than one block of an image sum holds (each energy is summed
     # in blocks of 512 modes)
     block = oracle._BLOCK
     for n_max in (28648, 8 * block + 3):
         alpha = 45.0 / (PI * (n_max - 0.5))
         assert math.ceil(45.0 / (alpha * PI)) == n_max
-        got = oracle._regulated_energy_d3(alpha, 10 * block)
+        got = oracle._regulated_energy_d3(alpha)
         want = _reference_regulated_energy_d3(alpha)
         assert got.hex() == want.hex(), alpha
 
@@ -440,7 +429,7 @@ def test_every_series_lies_within_a_stated_bound_of_its_exact_sum(monkeypatch):
         for dim, x in ((3, 0.5), (4, 0.1), (12, 0.77)):
             oracle.image_profile_sum(dim, x, budget)
     for n_max in (300, 28648):  # part of one block of 512 modes, and 56 blocks
-        energy(45.0 / (PI * (n_max - 0.5)), 40000)
+        energy(45.0 / (PI * (n_max - 0.5)))
     assert {count > size for _, count, size, _ in series} == {False, True}
     for got, count, size, values in series:
         assert len(values) == count
@@ -466,9 +455,9 @@ def _traced_bytes(fn):
 
 def test_series_working_memory_does_not_grow_with_the_budget():
     # Whole-array sums held 16 MB for an image sum at the default budget and
-    # 8.5 MB for the D = 3 energy at the smallest default cutoff, ten times
+    # 8.5 MB for the D = 3 energy at the smallest cutoff of scale 1, ten times
     # that at ten times the budget (the D = 3 modes at a tenth of the cutoff).
-    smallest = oracle.default_cutoff_schedule().alphas[-1]
+    smallest = _cutoffs(1.0)[-1]
     for scale in (1, 10):
         budget = oracle.SeriesBudget(max_images=scale * 10**6, max_modes=scale * 10**4)
         series = {
@@ -476,9 +465,7 @@ def test_series_working_memory_does_not_grow_with_the_budget():
             "green_mode_sum": lambda: oracle.green_mode_sum(
                 1.0, 0.3, 0.7, 1.0, ScalarBC.NEUMANN, budget
             ),
-            "_regulated_energy_d3": lambda: oracle._regulated_energy_d3.__wrapped__(
-                smallest / scale, scale * 40000
-            ),
+            "_regulated_energy_d3": lambda: oracle._regulated_energy_d3.__wrapped__(smallest / scale),
         }
         for name, fn in series.items():
             peak, left = _traced_bytes(fn)
@@ -487,13 +474,14 @@ def test_series_working_memory_does_not_grow_with_the_budget():
 
 
 def test_doubled_cutoff_schedule_shares_six_cutoffs_bit_for_bit():
-    # verify's regulator-independence check fits both schedules, at scale 1
-    # with full budgets and at scale 6 with --quick
+    # verify's regulator-independence check fits both scales, 1 with full
+    # budgets and 6 with --quick; the cutoffs are those of the schedule the
+    # oracle once took as an argument, bit for bit
     for scale in (1.0, 6.0):
-        for dim in (2, 3):
-            default = oracle.default_cutoff_schedule(scale=scale).alphas
-            doubled = oracle.default_cutoff_schedule(scale=2.0 * scale).alphas
-            assert len(set(map(float.hex, default)) & set(map(float.hex, doubled))) == 6
+        default, doubled = _cutoffs(scale), _cutoffs(2.0 * scale)
+        assert len(set(map(float.hex, default)) & set(map(float.hex, doubled))) == 6
+        for cutoffs, s in ((default, scale), (doubled, 2.0 * scale)):
+            assert cutoffs == [s * 0.014 * 2.0 ** (-k / 2.0) for k in range(8)]
 
 
 def test_a_cutoff_check_evaluates_each_shared_d3_energy_once():
@@ -507,22 +495,35 @@ def test_a_cutoff_check_evaluates_each_shared_d3_energy_once():
         assert (info.misses, info.hits) == (10, 6), quick
 
 
-def test_cutoff_narrow_schedule_raises():
-    sched = oracle.CutoffSchedule(alphas=(0.02, 0.015, 0.012, 0.01))
-    with pytest.raises(IllConditionedFitError):
-        oracle.cutoff_casimir_energy(2, 1.0, sched, CUTOFF_BUDGET)
+@pytest.mark.filterwarnings("error")
+def test_cutoff_scale_bounds():
+    # scale 32 and 1e4 once returned results off by 8.6e-2 and 1.04 at D = 2
+    # with no error; at D = 3, 5e-324 rounds every cutoff to 0 and once
+    # raised ZeroDivisionError counting the modes
+    th = Theory(TheoryKind.SCALAR_CANONICAL, ScalarBC.DIRICHLET)
+    for dim in (2, 3):
+        bad = [16.5, 32.0, 1e4, 0.0, -1.0, math.nan, math.inf]
+        if dim == 3:
+            bad += [5e-324, 1e-300, 0.3]
+        for scale in bad:
+            with pytest.raises(DomainError):
+                oracle.cutoff_casimir_energy(dim, 1.0, scale=scale)
+        want = core.total_energy_per_area(Spacetime(dim, 1.0), th)
+        for scale in (0.5, 1.0, 3.0, 6.0, 12.0, 16.0):
+            assert rel_err(oracle.cutoff_casimir_energy(dim, 1.0, scale=scale), want) < 0.1
+    with pytest.raises(TypeError):  # scale is keyword-only
+        oracle.cutoff_casimir_energy(2, 1.0, 3.0)
 
 
 def test_cutoff_unsupported_dimension():
     with pytest.raises(DomainError):
-        oracle.cutoff_casimir_energy(4, 1.0, oracle.default_cutoff_schedule(), CUTOFF_BUDGET)
+        oracle.cutoff_casimir_energy(4, 1.0, scale=1.0)
 
 
 def _cutoff_residual(dim, length):
     st = Spacetime(dim, length)
     want = core.total_energy_per_area(st, Theory(TheoryKind.SCALAR_CANONICAL, ScalarBC.DIRICHLET))
-    sched = oracle.default_cutoff_schedule()
-    return rel_err(oracle.cutoff_casimir_energy(dim, length, sched, CUTOFF_BUDGET), want)
+    return rel_err(oracle.cutoff_casimir_energy(dim, length, scale=1.0), want)
 
 
 def test_cutoff_energy_is_the_same_fit_at_every_length():
@@ -536,39 +537,28 @@ def test_cutoff_energy_is_the_same_fit_at_every_length():
 
 @pytest.mark.filterwarnings("error")  # numpy must not warn either
 def test_cutoff_energy_domain():
-    sched = oracle.default_cutoff_schedule()
-    # the largest default cutoff, 0.014 L, needs 1024 modes
-    with pytest.raises(DomainError, match="needs 1024 modes"):
-        oracle.cutoff_casimir_energy(3, 1.0, sched, oracle.SeriesBudget(max_modes=1000))
+    # the smallest cutoff at scale 0.3 needs 38585 modes
+    with pytest.raises(DomainError, match=r"needs more than 2\^15 modes"):
+        oracle.cutoff_casimir_energy(3, 1.0, scale=0.3)
     # L^-2 overflows, underflows to 0 or is subnormal
     for length in (1e-300, 1e300, 5e-324, 1e160):
         with pytest.raises(DomainError):
-            oracle.cutoff_casimir_energy(3, length, sched, CUTOFF_BUDGET)
-    assert math.isfinite(oracle.cutoff_casimir_energy(3, 1e150, sched, CUTOFF_BUDGET))
+            oracle.cutoff_casimir_energy(3, length, scale=1.0)
+    assert math.isfinite(oracle.cutoff_casimir_energy(3, 1e150, scale=1.0))
     # e^(-alpha pi) of the first mode is below the least double
-    huge = oracle.default_cutoff_schedule(scale=2e4)
     for dim in (2, 3):
         with pytest.raises(DomainError):
-            oracle.cutoff_casimir_energy(dim, 1.0, huge, CUTOFF_BUDGET)
+            oracle.cutoff_casimir_energy(dim, 1.0, scale=2e4)
 
 
 @pytest.mark.filterwarnings("error")
 def test_cutoff_energy_raises_where_rounding_swamps_the_constant():
-    # At D = 2 the default schedule scaled by 1e-3 once missed the constant
-    # by 1.4e-4 and scaled by 1e-10 by 1.3e10; at 1e-75 numpy warned, and at
-    # 1e-160 a regulated energy divided by zero.
-    for scale in (1e-3, 1e-4, 1e-6, 1e-10, 1e-30, 1e-75, 1e-160):
-        sched = oracle.default_cutoff_schedule(scale=scale)
+    # At D = 2 scale 1e-3 once missed the constant by 1.4e-4 and scale 1e-10
+    # by 1.3e10; at 1e-75 numpy warned, and at 1e-160 a regulated energy
+    # divided by zero. At 5e-324 every cutoff rounds to 0.
+    for scale in (1e-3, 1e-4, 1e-6, 1e-10, 1e-30, 1e-75, 1e-160, 5e-324):
         with pytest.raises(DomainError, match="swamps the constant"):
-            oracle.cutoff_casimir_energy(2, 1.0, sched, CUTOFF_BUDGET)
-    tiny = oracle.CutoffSchedule(alphas=(10.0, 5.0, 1.0, 5e-324))
-    with pytest.raises(DomainError, match="swamps the constant"):
-        oracle.cutoff_casimir_energy(2, 1.0, tiny, CUTOFF_BUDGET)
-    # sinh^2(alpha pi / 2) overflowed from alpha = 226.4, below the old
-    # bound 745 / pi; the bound is now 700 / pi
-    large = oracle.CutoffSchedule(alphas=(230.0, 20.0, 10.0, 5.0))
-    with pytest.raises(DomainError, match="too large"):
-        oracle.cutoff_casimir_energy(2, 1.0, large, CUTOFF_BUDGET)
+            oracle.cutoff_casimir_energy(2, 1.0, scale=scale)
 
 
 # ---------------------------------------------------- finite differences
