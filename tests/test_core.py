@@ -339,8 +339,12 @@ def test_profile_rejects_non_finite_samples():
         # an iterator was once exhausted by the check and its NaN sample accepted
         with pytest.raises(ValueError):
             core.Profile(prof.spacetime, prof.theory, iter(samples))
-    # the samples are stored as a tuple: a list or an iterator of them once
-    # gave a Profile unequal to the tuple-built one, and a list an unhashable one
+
+
+def test_profile_stores_its_samples_as_a_tuple():
+    # a list or an iterator of samples once gave a Profile unequal to the
+    # tuple-built one, and a list an unhashable one
+    prof = core.subtracted_profile(Spacetime(6, 1.0), EmBC.METALLIC, [-0.5, 0.2, 0.4, 1.5])
     for samples in (prof.samples, list(prof.samples), iter(prof.samples)):
         built = core.Profile(prof.spacetime, prof.theory, samples)
         assert built == prof and hash(built) == hash(prof) and built.samples == prof.samples

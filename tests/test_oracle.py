@@ -495,6 +495,30 @@ def test_a_cutoff_check_evaluates_each_shared_d3_energy_once():
         assert (info.misses, info.hits) == (10, 6), quick
 
 
+def test_cutoff_schedule_validation():
+    # The cutoffs are fixed, and they keep what the free-form schedule was
+    # checked for: at least four positive, strictly decreasing cutoffs that
+    # span more than the decade the fit needs (2^3.5), at every scale that
+    # returns a value.
+    for scale in (0.5, 1.0, 2.0, 6.0, 12.0, 16.0):
+        alphas = _cutoffs(scale)
+        assert len(alphas) == 8 and alphas[-1] > 0.0
+        assert all(a > b for a, b in zip(alphas, alphas[1:]))
+        assert alphas[0] / alphas[-1] == pytest.approx(2.0**3.5)
+
+
+@pytest.mark.filterwarnings("error")
+def test_cutoff_schedule_rejects_non_finite_cutoffs():
+    # a non-finite scale makes every cutoff non-finite: an infinite cutoff
+    # once gave a wrong constant, and a NaN one a LAPACK error
+    for dim in (2, 3):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError, match="requires 0 < scale <= 16"):
+                oracle.cutoff_casimir_energy(dim, 1.0, scale=bad)
+    with pytest.raises(TypeError):  # scale is keyword-only; 3 once meant scale 3
+        oracle.cutoff_casimir_energy(2, 1.0, 3.0)
+
+
 @pytest.mark.filterwarnings("error")
 def test_cutoff_scale_bounds():
     # scale 32 and 1e4 once returned results off by 8.6e-2 and 1.04 at D = 2
@@ -502,7 +526,7 @@ def test_cutoff_scale_bounds():
     # raised ZeroDivisionError counting the modes
     th = Theory(TheoryKind.SCALAR_CANONICAL, ScalarBC.DIRICHLET)
     for dim in (2, 3):
-        bad = [16.5, 32.0, 1e4, 0.0, -1.0, math.nan, math.inf]
+        bad = [16.5, 32.0, 1e4, 0.0, -1.0]
         if dim == 3:
             bad += [5e-324, 1e-300, 0.3]
         for scale in bad:
@@ -511,8 +535,24 @@ def test_cutoff_scale_bounds():
         want = core.total_energy_per_area(Spacetime(dim, 1.0), th)
         for scale in (0.5, 1.0, 3.0, 6.0, 12.0, 16.0):
             assert rel_err(oracle.cutoff_casimir_energy(dim, 1.0, scale=scale), want) < 0.1
-    with pytest.raises(TypeError):  # scale is keyword-only
-        oracle.cutoff_casimir_energy(2, 1.0, 3.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_d3_mode_cap_rejects_no_scale_the_rounding_check_accepts():
+    # 2^15 modes admit every scale down to 0.3533, and the rounding check
+    # already rejects every scale below 0.45 (25724 modes), so the cap turns
+    # away no value that would be returned without it.
+    alpha = 0.45 * 0.014 * 2.0**-3.5
+    assert math.ceil(45.0 / (alpha * PI)) == 25724
+    want = core.total_energy_per_area(
+        Spacetime(3, 1.0), Theory(TheoryKind.SCALAR_CANONICAL, ScalarBC.DIRICHLET)
+    )
+    assert rel_err(oracle.cutoff_casimir_energy(3, 1.0, scale=0.45), want) < 0.1
+    for scale in (0.42, 0.36, 0.354):
+        with pytest.raises(DomainError, match="swamps the constant"):
+            oracle.cutoff_casimir_energy(3, 1.0, scale=scale)
+    with pytest.raises(DomainError, match=r"needs more than 2\^15 modes"):
+        oracle.cutoff_casimir_energy(3, 1.0, scale=0.353)
 
 
 def test_cutoff_unsupported_dimension():
