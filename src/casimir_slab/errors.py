@@ -9,7 +9,3 @@ class DomainError(ValueError):
     other out-of-domain input. Subclasses ValueError so generic callers
     can treat it as a bad argument.
     """
-
-
-class InsufficientSamplesError(ValueError):
-    """A profile quadrature was asked to run on too few samples."""

@@ -11,12 +11,12 @@ Every series is summed in blocks of at most 2^14 consecutive terms, in
 one reused buffer: numpy sums each block and math.fsum adds the block
 sums, exactly rounded. Results are reproducible bit for bit from run to
 run on one numpy build (they depend on the block size), and the working
-memory does not grow with the truncation budget.
+memory does not grow with the number of terms.
 
 numpy is imported by the functions that sum a series, on first use, so
-importing this module, building its budgets and integrating a sampled
-profile never load it: a process that runs only the checks that need
-none of these sums, as verify's forked worker does, never pays for numpy.
+importing this module and integrating a sampled profile never load it:
+a process that runs only the checks that need none of these sums, as
+verify's forked worker does, never pays for numpy.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .core import _INTERIOR, _LEFT_EXTERIOR, _RIGHT_EXTERIOR, ScalarBC, _Value
-from .errors import DomainError, InsufficientSamplesError
+from .errors import DomainError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -36,7 +36,6 @@ if TYPE_CHECKING:
     from .core import Profile
 
 __all__ = [
-    "SeriesBudget",
     "green_closed",
     "green_mode_sum",
     "image_profile_sum",
@@ -46,27 +45,20 @@ __all__ = [
 ]
 
 
-# The largest budget: every index of a sum stays an exact double, and the
+# The largest count: every index of a sum stays an exact double, and the
 # longest sum, of 2^32 Green-function modes, already takes about 1.5 minutes.
-_MAX_BUDGET = 2**32
+_MAX_COUNT = 2**32
 
 
-class SeriesBudget(_Value):
-    """Truncation budgets for the brute-force sums: integers from 10^3 to 2^32."""
-
-    __match_args__ = __slots__ = ("max_images", "max_modes")
-    max_images: int
-    max_modes: int
-
-    def __init__(self, max_images: int = 10**6, max_modes: int = 10**4) -> None:
-        for name, value in (("max_images", max_images), ("max_modes", max_modes)):
-            try:
-                value = operator.index(value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
-            if not 10**3 <= value <= _MAX_BUDGET:
-                raise ValueError(f"{name} must lie between 10^3 and 2^32")
-            object.__setattr__(self, name, value)
+def _check_count(name: str, value: int) -> int:
+    # value as an int, for a term count from 10^3 to 2^32.
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if not 10**3 <= value <= _MAX_COUNT:
+        raise ValueError(f"{name} must lie between 10^3 and 2^32")
+    return value
 
 
 # numpy sums each block of _BLOCK consecutive terms, math.fsum the block sums;
@@ -137,28 +129,30 @@ def green_mode_sum(
     zp: float,
     L: float,
     bc: ScalarBC,
-    budget: SeriesBudget,
+    modes: int,
 ) -> float:
     """Eigenmode expansion of the slab Green function, truncated.
 
     (2/L) sum_n sin(n pi z/L) sin(n pi zp/L) / (k^2 + (n pi/L)^2) for
     Dirichlet; cosines for Neumann plus the n = 0 term 1/(L k^2), which
     is finite at fixed k > 0 and required for the mode sum to satisfy
-    the defining differential equation. Working memory: four arrays of
-    min(max_modes, 2^14) doubles (0.5 MB at most). A bc other than a
+    the defining differential equation; n runs from 1 to modes, an
+    integer from 10^3 to 2^32. Working memory: four arrays of
+    min(modes, 2^14) doubles (0.5 MB at most). A bc other than a
     ScalarBC member raises ValueError before any other check.
     """
     if bc is not ScalarBC.DIRICHLET and bc is not ScalarBC.NEUMANN:
         raise ValueError(f"green_mode_sum: bc must be a ScalarBC, got {bc!r}")
+    modes = _check_count("modes", modes)
     _check_green("green_mode_sum", kbar, z, zp, L)
     import numpy as np
 
     phase = np.pi / L
     # The denominators rise with n from k^2 + phase^2; none may overflow, and
-    # the first must be large enough that no sum of max_modes terms can.
-    top = budget.max_modes * phase
+    # the first must be large enough that no sum of modes terms can.
+    top = modes * phase
     low = kbar * kbar + phase * phase
-    if not (budget.max_modes < low * sys.float_info.max and kbar * kbar + top * top < math.inf):
+    if not (modes < low * sys.float_info.max and kbar * kbar + top * top < math.inf):
         raise DomainError(f"green_mode_sum: kbar={kbar} and L={L} put a term out of range")
     extra = 0.0
     if bc is not ScalarBC.DIRICHLET:
@@ -167,7 +161,7 @@ def green_mode_sum(
         if extra == math.inf:
             raise DomainError(f"green_mode_sum: kbar={kbar} too small; 1/(L kbar^2) overflows")
     trig = np.sin if bc is ScalarBC.DIRICHLET else np.cos
-    size = min(budget.max_modes, _BLOCK)
+    size = min(modes, _BLOCK)
     second, denom = np.empty(size), np.empty(size)
 
     def terms(n: np.ndarray) -> None:
@@ -183,27 +177,29 @@ def green_mode_sum(
         n *= other
         n /= den
 
-    return (2.0 / L) * _block_sum(1, budget.max_modes, terms) + extra
+    return (2.0 / L) * _block_sum(1, modes, terms) + extra
 
 
-def image_profile_sum(dim_D: int, x: float, budget: SeriesBudget) -> float:
-    """Direct image sum sum_j |j + x|^(-D) over |j| <= max_images.
+def image_profile_sum(dim_D: int, x: float, images: int) -> float:
+    """Direct image sum sum_j |j + x|^(-D) over |j| <= J = images.
 
-    The discarded tail is replaced by its integral approximation
-    2 / ((D-1) J^(D-1)); with J = 10^6 the residual beyond that
-    correction is far below 1e-12 for every D >= 3. Working memory: two
-    arrays of min(2 max_images + 1, 2^14) doubles (0.25 MB at most).
+    images is an integer from 10^3 to 2^32. The discarded tail is
+    replaced by its integral approximation 2 / ((D-1) J^(D-1)); with
+    J = 10^6 the residual beyond that correction is far below 1e-12 for
+    every D >= 3. Working memory: two arrays of min(2 J + 1, 2^14)
+    doubles (0.25 MB at most).
 
     Over the nine (D, x) of verify's f-profile check, D in {4, 6, 8} and
     x in {0.1, 0.25, 0.5}, the worst error relative to core.f_profile and
     the time of all nine sums (one CPU, medians of 5 to 7 runs) are:
 
-        max_images   worst error   nine sums
+        images       worst error   nine sums
         10^3         3.06e-14        0.2 ms
         10^4         4.44e-16        0.8 ms
         10^5         6.56e-16        6.9 ms
         10^6         4.43e-16       68 ms
     """
+    j_cap = _check_count("images", images)
     if not 2 <= dim_D < math.inf:
         raise DomainError(f"image_profile_sum: requires a finite D >= 2, got {dim_D}")
     if not 0.0 < x < 1.0:
@@ -215,7 +211,6 @@ def image_profile_sum(dim_D: int, x: float, budget: SeriesBudget) -> float:
         raise DomainError(f"image_profile_sum: x={x} too close to a plate; x^-D overflows") from None
     import numpy as np
 
-    j_cap = budget.max_images
     power = -float(dim_D)
 
     def terms(j: np.ndarray) -> None:
@@ -336,6 +331,7 @@ def cutoff_casimir_energy(dim_D: int, L: float, *, scale: float = 1.0) -> float:
     """
     if dim_D not in (2, 3):
         raise DomainError("cutoff_casimir_energy: only D in {2, 3} is supported")
+    dim_D = int(dim_D)  # range() below takes no float, even an integral one
     if not L > 0.0:
         raise DomainError("cutoff_casimir_energy: requires L > 0")
     try:
@@ -387,10 +383,7 @@ class ProfileEnergy(_Value):
 
 
 def _simpson_uniform(y: Sequence[float], h: float) -> float:
-    n = len(y)
-    if n < 3:
-        raise InsufficientSamplesError("Simpson rule needs at least 3 samples")
-    if n % 2 == 1:
+    if len(y) % 2 == 1:
         acc = y[0] + y[-1] + 4.0 * sum(y[1:-1:2]) + 2.0 * sum(y[2:-2:2])
         return acc * h / 3.0
     # Even sample count: Simpson on the first n-1 points, then a
@@ -415,15 +408,13 @@ def profile_energy_integral(profile: Profile) -> ProfileEnergy:
     dim = profile.spacetime.dim_D
     interior = [s for s in profile.samples if s.region is _INTERIOR]
     if len(interior) < 256:
-        raise InsufficientSamplesError(
-            f"need at least 256 interior samples, got {len(interior)}"
-        )
+        raise DomainError(f"need at least 256 interior samples, got {len(interior)}")
     zs = [s.z for s in interior]
     ys = [s.tensor.t00 for s in interior]
     steps = [b - a for a, b in zip(zs, zs[1:])]
     h = steps[0]
     if max([abs(step - h) for step in steps]) > 1e-9 * h:
-        raise InsufficientSamplesError("interior samples must be uniformly spaced")
+        raise DomainError("interior samples must be uniformly spaced")
     inner = _simpson_uniform(ys, h)
     inner += zs[0] * ys[0] + (length - zs[-1]) * ys[-1]
 

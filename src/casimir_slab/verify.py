@@ -65,13 +65,13 @@ def _check_classic_pressure(tol: float) -> list[CheckResult]:
     return [CheckResult("classic-pressure-d4", _rel(got, -math.pi**2 / 240.0), tol)]
 
 
-def _check_f_dual_forms(budget: oracle.SeriesBudget, tol: float) -> list[CheckResult]:
+def _check_f_dual_forms(images: int, tol: float) -> list[CheckResult]:
     worst = 0.0
     for dim in (4, 6, 8):
         st = Spacetime(dim, 1.0)
         for x in (0.1, 0.25, 0.5):
             hurwitz_form = core.f_profile(st, x)
-            image = oracle.image_profile_sum(dim, x, budget)
+            image = oracle.image_profile_sum(dim, x, images)
             cot_form = (
                 math.pi**dim
                 / math.factorial(dim - 1)
@@ -114,16 +114,15 @@ _GREEN_POINTS = (
 )
 
 
-def _check_green(budget: oracle.SeriesBudget, tol: float) -> list[CheckResult]:
-    doubled = oracle.SeriesBudget(max_images=budget.max_images, max_modes=2 * budget.max_modes)
+def _check_green(modes: int, tol: float) -> list[CheckResult]:
     errs, errs2 = [], []
     for k, z, zp in _GREEN_POINTS:
         exact = oracle.green_closed(k, z, zp, 1.0)
         errs.append(
-            abs(oracle.green_mode_sum(k, z, zp, 1.0, ScalarBC.DIRICHLET, budget) - exact)
+            abs(oracle.green_mode_sum(k, z, zp, 1.0, ScalarBC.DIRICHLET, modes) - exact)
         )
         errs2.append(
-            abs(oracle.green_mode_sum(k, z, zp, 1.0, ScalarBC.DIRICHLET, doubled) - exact)
+            abs(oracle.green_mode_sum(k, z, zp, 1.0, ScalarBC.DIRICHLET, 2 * modes) - exact)
         )
     rms = math.sqrt(sum(e * e for e in errs) / len(errs))
     rms2 = math.sqrt(sum(e * e for e in errs2) / len(errs2))
@@ -325,13 +324,12 @@ def checks(quick: bool = False) -> list[Callable[[], list[CheckResult]]]:
     images = 10**4 if quick else 10**5
     modes = 10**3 if quick else 10**4
     cutoff_scale = 6.0 if quick else 1.0
-    budget = oracle.SeriesBudget(max_images=images, max_modes=modes)
     n_interior = 257 if quick else 1025
 
     return [
         partial(_check_classic_pressure, 1e-10 * relax),
-        partial(_check_f_dual_forms, budget, 1e-9 * relax),
-        partial(_check_green, budget, 1e-6 * relax),
+        partial(_check_f_dual_forms, images, 1e-9 * relax),
+        partial(_check_green, modes, 1e-6 * relax),
         partial(_check_cutoff, 1e-3 * relax, cutoff_scale),
         partial(_check_pressure_constancy, 1e-10 * relax, 1e-7 * relax),
         partial(_check_conformal_and_improved, 1e-10 * relax),

@@ -248,7 +248,7 @@ def test_verify_quick_passes(capsys):
 
 
 def test_verify_full_budget_passes():
-    # the 1e6-image and 4e4-mode budgets run only without --quick
+    # the 10^5-image and 2 x 10^4-mode sums run only without --quick
     from casimir_slab import verify
 
     results = verify.run_checks()

@@ -131,8 +131,6 @@ def test_spacetime_and_theory_copy_and_pickle():
         Spacetime(24),
         Theory(TheoryKind.MAXWELL, EmBC.MIT),
         # the values of oracle and verify are core._Value too
-        oracle.SeriesBudget(),
-        oracle.SeriesBudget(10**5, max_modes=2000),
         oracle.ProfileEnergy(1.5, -0.25, total=1.25),
         verify.CheckResult("check", 1e-12, 1e-10),
     ):

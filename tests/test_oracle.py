@@ -10,7 +10,7 @@ import pytest
 
 from casimir_slab import core, oracle
 from casimir_slab.core import EmBC, ScalarBC, Spacetime, Theory, TheoryKind
-from casimir_slab.errors import DomainError, InsufficientSamplesError
+from casimir_slab.errors import DomainError
 
 PI = math.pi
 
@@ -29,44 +29,47 @@ def rel_err(got, want):
 # ------------------------------------------------------------------ types
 
 
-def test_series_budget_validation():
-    with pytest.raises(ValueError):
-        oracle.SeriesBudget(max_images=100)
-    with pytest.raises(ValueError):
-        oracle.SeriesBudget(max_modes=10)
-    # a float budget was once kept, and a sum then raised TypeError on it
-    for field, value in (("max_images", 1e4), ("max_modes", 1e4), ("max_modes", 2500.5)):
-        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
-            oracle.SeriesBudget(**{field: value})
-    assert oracle.SeriesBudget(np.int64(5000)) == oracle.SeriesBudget(5000)
+# Each counted series by the name of its count, at one point.
+COUNTED_SERIES = {
+    "modes": lambda n: oracle.green_mode_sum(1.0, 0.3, 0.7, 1.0, ScalarBC.DIRICHLET, n),
+    "images": lambda n: oracle.image_profile_sum(4, 0.3, n),
+}
 
 
-def test_series_budget_has_an_upper_bound():
+def test_series_counts_must_be_integers():
+    # a float count was once kept, and a sum then raised TypeError on it
+    for name, series in COUNTED_SERIES.items():
+        for value in (1e4, 2500.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                series(value)
+        assert series(np.int64(5000)).hex() == series(5000).hex()
+
+
+def test_series_counts_lie_between_10_3_and_2_32():
     # 10^400 was once kept, and a sum then raised OverflowError converting it
-    # to a double; 10^18 was kept too, and a sum ran for ages.
-    for field in ("max_images", "max_modes"):
-        for value in (2**32 + 1, 10**400):
-            with pytest.raises(ValueError, match=f"^{field} must lie between"):
-                oracle.SeriesBudget(**{field: value})
-        assert getattr(oracle.SeriesBudget(**{field: 2**32}), field) == 2**32
+    # to a double; 10^18 was kept too, and a sum ran for ages. 2^32 itself is
+    # checked without its sum, which takes over a minute.
+    for name, series in COUNTED_SERIES.items():
+        for value in (10, 100, 999, 2**32 + 1, 10**400):
+            with pytest.raises(ValueError, match=f"^{name} must lie between"):
+                series(value)
+        assert oracle._check_count(name, 2**32) == 2**32
 
 
 def test_image_profile_sum_rejects_non_finite_dimensions():
     # D = inf once gave inf and D = nan gave nan: 0.3 ** -inf does not overflow.
-    budget = oracle.SeriesBudget(max_images=10**3, max_modes=10**3)
     for dim in (math.inf, -math.inf, math.nan):
         with pytest.raises(DomainError):
-            oracle.image_profile_sum(dim, 0.3, budget)
+            oracle.image_profile_sum(dim, 0.3, 1000)
 
 
 @pytest.mark.filterwarnings("error")
 def test_image_profile_sum_raises_where_the_sum_overflows():
     # At x = 1/2 the two nearest images each give 2^D: D = 1023.5 once made
     # numpy warn and return inf.
-    budget = oracle.SeriesBudget(max_images=10**3, max_modes=10**3)
     with pytest.raises(DomainError, match="overflows"):
-        oracle.image_profile_sum(1023.5, 0.5, budget)
-    assert math.isfinite(oracle.image_profile_sum(1000.0, 0.5, budget))
+        oracle.image_profile_sum(1023.5, 0.5, 1000)
+    assert math.isfinite(oracle.image_profile_sum(1000.0, 0.5, 1000))
 
 
 # ----------------------------------------------------------- green closed
@@ -116,7 +119,6 @@ def test_green_closed_domain():
         with pytest.raises(DomainError):
             oracle.green_closed(kbar, 0.3 * length, 0.7 * length, length)
     assert rel_err(oracle.green_closed(1e-150, 0.3, 0.7, 1.0), 0.09) < 1e-13
-    budget = oracle.SeriesBudget(max_modes=1000)
     for kbar, length, bc in (
         (math.inf, 1.0, ScalarBC.DIRICHLET),
         (1e-170, 1.0, ScalarBC.NEUMANN),  # 1/(L k^2) divides by 0
@@ -125,9 +127,9 @@ def test_green_closed_domain():
         (1e-170, 1e170, ScalarBC.DIRICHLET),  # k^2 + (pi/L)^2 underflows
     ):
         with pytest.raises(DomainError):
-            oracle.green_mode_sum(kbar, 0.3 * length, 0.7 * length, length, bc, budget)
+            oracle.green_mode_sum(kbar, 0.3 * length, 0.7 * length, length, bc, 1000)
     # with Dirichlet walls a tiny k is harmless: the sum tends to the k = 0 Green function
-    got = oracle.green_mode_sum(1e-170, 0.3, 0.7, 1.0, ScalarBC.DIRICHLET, budget)
+    got = oracle.green_mode_sum(1e-170, 0.3, 0.7, 1.0, ScalarBC.DIRICHLET, 1000)
     assert abs(got - 0.09) < 1e-5
 
 
@@ -136,17 +138,15 @@ def test_green_closed_domain():
 
 def test_green_mode_sum_rejects_an_invalid_bc_before_any_other_check():
     # Each of these once gave the Neumann sum, 0.19374 for the Dirichlet 0.05588.
-    budget = oracle.SeriesBudget(max_modes=1000)
     for bad in (EmBC.METALLIC, "dirichlet", None):
         for kbar in (2.0, -1.0):
             with pytest.raises(ValueError, match=f"got {bad!r}$") as info:
-                oracle.green_mode_sum(kbar, 0.3, 0.7, 1.0, bad, budget)
+                oracle.green_mode_sum(kbar, 0.3, 0.7, 1.0, bad, 1000)
             assert type(info.value) is ValueError
 
 
 def test_green_mode_sum_matches_closed_form():
-    budget = oracle.SeriesBudget(max_modes=10**4)
-    got = oracle.green_mode_sum(1.0, 0.3, 0.7, 1.0, ScalarBC.DIRICHLET, budget)
+    got = oracle.green_mode_sum(1.0, 0.3, 0.7, 1.0, ScalarBC.DIRICHLET, 10**4)
     want = oracle.green_closed(1.0, 0.3, 0.7, 1.0)
     assert abs(got - want) < 1e-6
 
@@ -157,10 +157,10 @@ def _block_rule_sum(terms, block=oracle._BLOCK):
     return math.fsum(float(terms[i : i + block].sum()) for i in range(0, terms.size, block))
 
 
-def _reference_green_mode_sum(kbar, z, zp, L, bc, budget):
+def _reference_green_mode_sum(kbar, z, zp, L, bc, modes):
     # the whole-array terms green_mode_sum evaluates block by block in place
     phase = np.pi / L
-    n = np.arange(1, budget.max_modes + 1, dtype=np.float64)
+    n = np.arange(1, modes + 1, dtype=np.float64)
     denom = kbar * kbar + (n * phase) ** 2
     trig = np.sin if bc is ScalarBC.DIRICHLET else np.cos
     terms = trig(n * (phase * z)) * trig(n * (phase * zp)) / denom
@@ -170,8 +170,7 @@ def _reference_green_mode_sum(kbar, z, zp, L, bc, budget):
 
 def test_green_mode_sum_in_place_terms_give_the_block_rule_bits():
     block = oracle._BLOCK
-    for max_modes in (10**3, 10**4, block - 1, block, block + 1, 2 * 10**4, 8 * block + 3):
-        budget = oracle.SeriesBudget(max_modes=max_modes)
+    for modes in (10**3, 10**4, block - 1, block, block + 1, 2 * 10**4, 8 * block + 3):
         for bc in ScalarBC:
             for kbar, z, zp, length in (
                 (1.0, 0.3, 0.7, 1.0),
@@ -179,28 +178,25 @@ def test_green_mode_sum_in_place_terms_give_the_block_rule_bits():
                 (0.05, 0.0, 0.61, 2.5),
                 (30.0, 0.2, 0.2, 0.4),
             ):
-                got = oracle.green_mode_sum(kbar, z, zp, length, bc, budget)
-                want = _reference_green_mode_sum(kbar, z, zp, length, bc, budget)
-                assert got.hex() == want.hex(), (max_modes, bc, kbar, z, zp, length)
+                got = oracle.green_mode_sum(kbar, z, zp, length, bc, modes)
+                want = _reference_green_mode_sum(kbar, z, zp, length, bc, modes)
+                assert got.hex() == want.hex(), (modes, bc, kbar, z, zp, length)
 
 
 def test_green_mode_sum_even_terms_vanish_at_midpoint():
     # at z = zp = L/2 every even mode has a node, so adding one even
     # mode must not change the partial sum at all
-    b_odd = oracle.SeriesBudget(max_modes=1999)
-    b_even = oracle.SeriesBudget(max_modes=2000)
-    a = oracle.green_mode_sum(1.0, 0.5, 0.5, 1.0, ScalarBC.DIRICHLET, b_odd)
-    b = oracle.green_mode_sum(1.0, 0.5, 0.5, 1.0, ScalarBC.DIRICHLET, b_even)
+    a = oracle.green_mode_sum(1.0, 0.5, 0.5, 1.0, ScalarBC.DIRICHLET, 1999)
+    b = oracle.green_mode_sum(1.0, 0.5, 0.5, 1.0, ScalarBC.DIRICHLET, 2000)
     assert a == b
 
 
 def test_green_mode_sum_neumann_zero_mode_via_ode():
     # the constant n = 0 term (1/(L k^2), equal to 1 here) is required
     # for the mode sum to satisfy (-d^2/dz^2 + k^2) g = 0 off-source
-    budget = oracle.SeriesBudget(max_modes=10**4)
     k = 1.0
-    g = oracle.green_mode_sum(k, 0.3, 0.7, 1.0, ScalarBC.NEUMANN, budget)
-    fn = lambda z: oracle.green_mode_sum(k, z, 0.7, 1.0, ScalarBC.NEUMANN, budget)  # noqa: E731
+    g = oracle.green_mode_sum(k, 0.3, 0.7, 1.0, ScalarBC.NEUMANN, 10**4)
+    fn = lambda z: oracle.green_mode_sum(k, z, 0.7, 1.0, ScalarBC.NEUMANN, 10**4)  # noqa: E731
     d2 = second_derivative(fn, 0.3, 1e-3)
     assert abs(d2 - k * k * g) < 1e-6
     # dropping the constant by hand must break the equation by k^2/L
@@ -221,13 +217,11 @@ def _sample_points(n=20, seed=20260808):
 
 
 def test_green_mode_sum_quadratic_convergence():
-    b1 = oracle.SeriesBudget(max_modes=10**4)
-    b2 = oracle.SeriesBudget(max_modes=2 * 10**4)
     errs1, errs2 = [], []
     for k, z, zp in _sample_points():
         exact = oracle.green_closed(k, z, zp, 1.0)
-        errs1.append(abs(oracle.green_mode_sum(k, z, zp, 1.0, ScalarBC.DIRICHLET, b1) - exact))
-        errs2.append(abs(oracle.green_mode_sum(k, z, zp, 1.0, ScalarBC.DIRICHLET, b2) - exact))
+        for errs, modes in ((errs1, 10**4), (errs2, 2 * 10**4)):
+            errs.append(abs(oracle.green_mode_sum(k, z, zp, 1.0, ScalarBC.DIRICHLET, modes) - exact))
     assert max(errs1) < 1e-6
     rms1 = math.sqrt(sum(e * e for e in errs1) / len(errs1))
     rms2 = math.sqrt(sum(e * e for e in errs2) / len(errs2))
@@ -238,34 +232,29 @@ def test_green_mode_sum_quadratic_convergence():
 
 
 def test_image_sum_d4_midpoint():
-    budget = oracle.SeriesBudget(max_images=10**6)
-    assert rel_err(oracle.image_profile_sum(4, 0.5, budget), PI**4 / 3) < 1e-10
+    assert rel_err(oracle.image_profile_sum(4, 0.5, 10**6), PI**4 / 3) < 1e-10
 
 
 def test_image_sum_d6_midpoint():
-    budget = oracle.SeriesBudget(max_images=10**6)
     want = 126 * PI**6 / 945
-    assert rel_err(oracle.image_profile_sum(6, 0.5, budget), want) < 1e-10
+    assert rel_err(oracle.image_profile_sum(6, 0.5, 10**6), want) < 1e-10
 
 
 def test_image_sum_reflection_at_matched_truncation():
-    budget = oracle.SeriesBudget(max_images=10**4)
-    a = oracle.image_profile_sum(5, 0.2, budget)
-    b = oracle.image_profile_sum(5, 0.8, budget)
+    a = oracle.image_profile_sum(5, 0.2, 10**4)
+    b = oracle.image_profile_sum(5, 0.8, 10**4)
     assert rel_err(a, b) < 1e-13
 
 
 def test_image_sum_agrees_with_closed_profile():
-    budget = oracle.SeriesBudget(max_images=10**6)
     for dim in range(3, 13):
         st = Spacetime(dim, 1.0)
         for x in (0.05, 0.1, 0.25, 0.5):
-            assert rel_err(oracle.image_profile_sum(dim, x, budget), core.f_profile(st, x)) < 1e-10
+            assert rel_err(oracle.image_profile_sum(dim, x, 10**6), core.f_profile(st, x)) < 1e-10
 
 
-def _reference_image_profile_sum(dim_D, x, budget):
+def _reference_image_profile_sum(dim_D, x, j_cap):
     # the whole-array terms image_profile_sum evaluates block by block in place
-    j_cap = budget.max_images
     j = np.arange(-j_cap, j_cap + 1, dtype=np.float64)
     total = _block_rule_sum(np.abs(j + x) ** (-float(dim_D)))
     return total + 2.0 / ((dim_D - 1) * float(j_cap) ** (dim_D - 1))
@@ -275,41 +264,32 @@ def test_image_sum_in_place_terms_give_the_block_rule_bits():
     # 2J + 1 = 2^14 (one block) is even, so J = 8191 and 8192 straddle it;
     # 2J + 1 = 8 blocks + 3 leaves a last block of 3 terms
     block = oracle._BLOCK
-    budgets = (
-        oracle.SeriesBudget(),
-        oracle.SeriesBudget(max_images=1000),
-        oracle.SeriesBudget(max_images=1001),
-        oracle.SeriesBudget(max_images=(block - 1) // 2),
-        oracle.SeriesBudget(max_images=(block + 1) // 2),
-        oracle.SeriesBudget(max_images=(8 * block + 3) // 2),
-    )
-    for budget in budgets:
+    for images in (10**6, 1000, 1001, (block - 1) // 2, (block + 1) // 2, (8 * block + 3) // 2):
         for dim in range(2, 13):
             for x in (1e-9, 0.1, 0.25, 0.5, 0.77, 1.0 - 1e-12):
-                got = oracle.image_profile_sum(dim, x, budget)
-                want = _reference_image_profile_sum(dim, x, budget)
-                assert got.hex() == want.hex(), (budget, dim, x)
+                got = oracle.image_profile_sum(dim, x, images)
+                want = _reference_image_profile_sum(dim, x, images)
+                assert got.hex() == want.hex(), (images, dim, x)
 
 
 @pytest.mark.filterwarnings("error")  # numpy must not warn either
 def test_image_sum_domain():
-    budget = oracle.SeriesBudget(max_images=1000)
     with pytest.raises(DomainError):
-        oracle.image_profile_sum(4, 0.0, budget)
+        oracle.image_profile_sum(4, 0.0, 1000)
     with pytest.raises(DomainError):
-        oracle.image_profile_sum(1, 0.5, budget)
+        oracle.image_profile_sum(1, 0.5, 1000)
     # the nearest image's x^-D overflows
     for dim, x in ((2, 1e-160), (2, 1e-300), (12, 1e-30), (24, 1.0 - 2.0**-52)):
         with pytest.raises(DomainError):
-            oracle.image_profile_sum(dim, x, budget)
+            oracle.image_profile_sum(dim, x, 1000)
     # the two 2^1023 terms of j = -1 and 0 add to an overflow, within one block
     # and, at J = 2^14, across a block edge, where math.fsum raises OverflowError
     for j_cap in (1000, 2**14):
         with pytest.raises(DomainError, match="overflows"):
-            oracle.image_profile_sum(1023, 0.5, oracle.SeriesBudget(max_images=j_cap))
-    assert rel_err(oracle.image_profile_sum(2, 1e-150, budget), 1e300) < 1e-15
+            oracle.image_profile_sum(1023, 0.5, j_cap)
+    assert rel_err(oracle.image_profile_sum(2, 1e-150, 1000), 1e300) < 1e-15
     # J^(D-1) of the tail correction overflows; the tail itself is negligible
-    assert oracle.image_profile_sum(104, 0.5, budget) == 2.0**105
+    assert oracle.image_profile_sum(104, 0.5, 1000) == 2.0**105
 
 
 # ----------------------------------------------------------------- cutoff
@@ -422,12 +402,11 @@ def test_every_series_lies_within_a_stated_bound_of_its_exact_sum(monkeypatch):
     monkeypatch.setattr(oracle, "_block_sum", spy)
     energy = oracle._regulated_energy_d3.__wrapped__
     block = oracle._BLOCK
-    for max_modes, max_images in ((10**4, 10**3), (7 * block + 5, 2 * block)):
-        budget = oracle.SeriesBudget(max_images=max_images, max_modes=max_modes)
+    for modes, images in ((10**4, 10**3), (7 * block + 5, 2 * block)):
         for bc in ScalarBC:
-            oracle.green_mode_sum(7.086920641914623, 0.14657744030982506, 0.7, 1.0, bc, budget)
+            oracle.green_mode_sum(7.086920641914623, 0.14657744030982506, 0.7, 1.0, bc, modes)
         for dim, x in ((3, 0.5), (4, 0.1), (12, 0.77)):
-            oracle.image_profile_sum(dim, x, budget)
+            oracle.image_profile_sum(dim, x, images)
     for n_max in (300, 28648):  # part of one block of 512 modes, and 56 blocks
         energy(45.0 / (PI * (n_max - 0.5)))
     assert {count > size for _, count, size, _ in series} == {False, True}
@@ -454,16 +433,15 @@ def _traced_bytes(fn):
 
 
 def test_series_working_memory_does_not_grow_with_the_budget():
-    # Whole-array sums held 16 MB for an image sum at the default budget and
-    # 8.5 MB for the D = 3 energy at the smallest cutoff of scale 1, ten times
-    # that at ten times the budget (the D = 3 modes at a tenth of the cutoff).
+    # Whole-array sums held 16 MB for an image sum of 10^6 images and 8.5 MB
+    # for the D = 3 energy at the smallest cutoff of scale 1, ten times that
+    # at ten times the count (the D = 3 modes at a tenth of the cutoff).
     smallest = _cutoffs(1.0)[-1]
     for scale in (1, 10):
-        budget = oracle.SeriesBudget(max_images=scale * 10**6, max_modes=scale * 10**4)
         series = {
-            "image_profile_sum": lambda: oracle.image_profile_sum(6, 0.25, budget),
+            "image_profile_sum": lambda: oracle.image_profile_sum(6, 0.25, scale * 10**6),
             "green_mode_sum": lambda: oracle.green_mode_sum(
-                1.0, 0.3, 0.7, 1.0, ScalarBC.NEUMANN, budget
+                1.0, 0.3, 0.7, 1.0, ScalarBC.NEUMANN, scale * 10**4
             ),
             "_regulated_energy_d3": lambda: oracle._regulated_energy_d3.__wrapped__(smallest / scale),
         }
@@ -560,6 +538,13 @@ def test_cutoff_unsupported_dimension():
         oracle.cutoff_casimir_energy(4, 1.0, scale=1.0)
 
 
+def test_cutoff_energy_takes_an_integral_float_dimension():
+    # each of these once raised TypeError from range(dim_D, 0, -1)
+    for dim, as_int in ((2.0, 2), (3.0, 3), (np.float64(2.0), 2), (np.int64(3), 3)):
+        got = oracle.cutoff_casimir_energy(dim, 1.0)
+        assert got.hex() == oracle.cutoff_casimir_energy(as_int, 1.0).hex(), dim
+
+
 def _cutoff_residual(dim, length):
     st = Spacetime(dim, length)
     want = core.total_energy_per_area(st, Theory(TheoryKind.SCALAR_CANONICAL, ScalarBC.DIRICHLET))
@@ -627,12 +612,11 @@ def test_fd_image_profile_curvature_pattern():
     # the profile's second derivative is D(D+1) times the profile two
     # dimensions up; this is the differentiation step behind the
     # constant-pressure result
-    budget = oracle.SeriesBudget(max_images=10**5)
     for dim in (3, 4, 6):
         for x in (0.3, 0.5, 0.7):
-            fn = lambda t: oracle.image_profile_sum(dim, t, budget)  # noqa: E731
+            fn = lambda t: oracle.image_profile_sum(dim, t, 10**5)  # noqa: E731
             d2 = second_derivative(fn, x, 1e-3)
-            want = dim * (dim + 1) * oracle.image_profile_sum(dim + 2, x, budget)
+            want = dim * (dim + 1) * oracle.image_profile_sum(dim + 2, x, 10**5)
             assert rel_err(d2, want) < 1e-6
 
 
@@ -704,7 +688,7 @@ def test_profile_energy_rejects_non_finite_samples():
 
 def test_profile_energy_insufficient_samples():
     _, prof = _subtracted(6, n_interior=100)
-    with pytest.raises(InsufficientSamplesError):
+    with pytest.raises(DomainError):
         oracle.profile_energy_integral(prof)
 
 
@@ -713,5 +697,5 @@ def test_profile_energy_requires_uniform_grid():
     rng = np.random.default_rng(7)
     grid = sorted(float(z) for z in rng.uniform(0.01, 0.99, size=300))
     prof = core.subtracted_profile(st, EmBC.METALLIC, grid)
-    with pytest.raises(InsufficientSamplesError):
+    with pytest.raises(DomainError):
         oracle.profile_energy_integral(prof)
