@@ -31,14 +31,13 @@ from .core import (
     total_energy_per_area,
 )
 from .errors import DomainError
-from .specfun import cot_derivative, gamma, hurwitz_zeta, riemann_zeta
+from .specfun import cot_derivative, hurwitz_zeta, riemann_zeta
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
     "DomainError",
-    "gamma",
     "riemann_zeta",
     "hurwitz_zeta",
     "cot_derivative",

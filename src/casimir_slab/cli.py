@@ -139,15 +139,17 @@ def _write_table(
     out.write(tail)
 
 
-def _write_range(out: TextIO, table: tuple, first: int, last: int, fmt: str) -> None:
-    # Write the text of the blocks first..last-1 of the table to out, each
-    # block a run of at most _BLOCK_ROWS points as soon as it is made, and
-    # each but block 0 after a row separator.
+def _write_range(
+    out: TextIO, grid: Callable[[], Iterator], evaluate: Callable, first: int, last: int, fmt: str
+) -> None:
+    # Write the text of the blocks first..last-1 of the table of evaluate over
+    # grid() to out, each block a run of at most _BLOCK_ROWS points as soon as
+    # it is made, and each but block 0 after a row separator.
     cell_sep, row_open, row_close, row_sep = _LAYOUT[fmt]
-    grid = islice(table[0](), first * _BLOCK_ROWS, last * _BLOCK_ROWS)
+    points = islice(grid(), first * _BLOCK_ROWS, last * _BLOCK_ROWS)
     sep = row_sep * (first > 0)
-    while zs := tuple(islice(grid, _BLOCK_ROWS)):
-        lines = map(cell_sep.join, zip(*_column_texts(table[2](zs), fmt)))
+    while zs := tuple(islice(points, _BLOCK_ROWS)):
+        lines = map(cell_sep.join, zip(*_column_texts(evaluate(zs), fmt)))
         out.write(sep + row_open + (row_close + row_sep + row_open).join(lines) + row_close)
         sep = row_sep
 
@@ -300,7 +302,7 @@ def _render(
     cuts = [blocks * i // n for i in range(n + 1)]
 
     def write_range(first: int, last: int, spill: TextIO, guard: Callable) -> None:
-        _write_range(spill, (grid, points, guard(evaluate)), first, last, fmt)
+        _write_range(spill, grid, guard(evaluate), first, last, fmt)
 
     works = [partial(write_range, cuts[i], cuts[i + 1]) for i in range(n)]
     with _spilled(works, lambda spill: spill) as spills:

@@ -178,7 +178,7 @@ class Spacetime(_Value):
 
     def __init__(self, dim_D: int, plate_gap_L: float = 1.0) -> None:
         dim_D = _check_dim(dim_D)
-        if not (math.isfinite(plate_gap_L) and plate_gap_L > 0.0):
+        if not (specfun._finite_double(plate_gap_L) and plate_gap_L > 0.0):
             raise ValueError(f"plate_gap_L must be positive, got {plate_gap_L}")
         object.__setattr__(self, "dim_D", dim_D)
         object.__setattr__(self, "plate_gap_L", plate_gap_L)
@@ -196,15 +196,33 @@ _INTERIOR = Region.INTERIOR
 _RIGHT_EXTERIOR = Region.RIGHT_EXTERIOR
 
 
-# (gamma(D/2), (4 pi)^(D/2), zeta(D)) for D = _MIN_DIM .. _MAX_DIM,
-# computed once so no closed form calls gamma or zeta per point.
-_AMPLITUDE_TABLE = tuple(
-    (
-        specfun.gamma(dim / 2.0),
-        (4.0 * math.pi) ** (dim / 2.0),
-        specfun.riemann_zeta(float(dim)),
-    )
-    for dim in _DIMS
+# (gamma(D/2), (4 pi)^(D/2), zeta(D)) for D = _MIN_DIM .. _MAX_DIM, each the double
+# nearest the exact value, which test_amplitude_table_is_correctly_rounded derives to
+# 80 digits from factorials, a decimal pi and exact Bernoulli numbers (tests/test_core.py).
+_AMPLITUDE_TABLE = (
+    (1.0, 12.566370614359172, 1.6449340668482264),  # D = 2
+    (0.886226925452758, 44.54662397465366, 1.2020569031595942),  # D = 3
+    (1.0, 157.91367041742973, 1.0823232337111381),  # D = 4
+    (1.329340388179137, 559.7893864839956, 1.03692775514337),  # D = 5
+    (2.0, 1984.4017075391885, 1.0173430619844492),  # D = 6
+    (3.3233509704478426, 7034.520896542633, 1.008349277381923),  # D = 7
+    (6.0, 24936.727304704626, 1.0040773561979444),  # D = 8
+    (11.631728396567448, 88398.39668040889, 1.0020083928260821),  # D = 9
+    (24.0, 313364.1572201282, 1.000994575127818),  # D = 10
+    (52.34277778455352, 1110847.0144011555, 1.0004941886041194),  # D = 11
+    (120.0, 3937850.136884447, 1.000246086553308),  # D = 12
+    (287.88527781504433, 13959315.278819302, 1.0001227133475785),  # D = 13
+    (720.0, 49484484.243894964, 1.0000612481350588),  # D = 14
+    (1871.2543057977884, 175417929.31632993, 1.000030588236307),  # D = 15
+    (5040.0, 621840368.6692011, 1.0000152822594086),  # D = 16
+    (14034.407293483413, 2204366712.192463, 1.0000076371976379),  # D = 17
+    (40320.0, 7814276535.6669235, 1.000003817293265),  # D = 18
+    (119292.46199460901, 27700889075.36691, 1.0000019082127165),  # D = 19
+    (362880.0, 98197095030.28123, 1.0000009539620338),  # D = 20
+    (1133278.3889487856, 348099638468.3138, 1.0000004769329869),  # D = 21
+    (3628800.0, 1233981089403.9612, 1.0000002384505027),  # D = 22
+    (11899423.083962249, 4374349067717.27, 1.000000119219926),  # D = 23
+    (39916800.0, 15506663700560.857, 1.000000059608189),  # D = 24
 )
 
 

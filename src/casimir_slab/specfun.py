@@ -1,9 +1,9 @@
 """High-precision real special functions.
 
 Everything downstream (energy densities, stress profiles, fluctuation
-records) reduces to the functions in this module: the gamma function,
-the Riemann zeta function including its continuation to negative
-argument, the Hurwitz zeta function and repeated cotangent derivatives.
+records) reduces to the functions in this module: the Riemann zeta
+function, continued to negative argument through math.gamma, the Hurwitz
+zeta function and repeated cotangent derivatives.
 
 All functions are deterministic pure maps on Python floats; there is no
 internal mutable state, so every operation is safe to call concurrently.
@@ -18,7 +18,6 @@ from typing import Iterable, Iterator
 from .errors import DomainError
 
 __all__ = [
-    "gamma",
     "riemann_zeta",
     "hurwitz_zeta",
     "cot_derivative",
@@ -50,89 +49,20 @@ _EM_COEFF = tuple(
     num / (den * math.factorial(2 * k)) for k, (num, den) in enumerate(_BERNOULLI, 1)
 )
 
-# B_2k / (2k (2k-1)) for k = 1..6: Stirling-series correction terms.
-_STIRLING_COEFF = tuple(
-    num / (den * 2 * k * (2 * k - 1)) for k, (num, den) in enumerate(_BERNOULLI[:6], 1)
-)
-
 # (B_2k / (2k)!, 2k - 1, 2k) for k = 1..10: one step of the Hurwitz tail.
 _EM_STEPS = tuple((coeff, 2 * k - 1, 2 * k) for k, coeff in enumerate(_EM_COEFF, 1))
 
 # The steps k = 1..6, through B_12, of the Riemann zeta tail.
 _ZETA_STEPS = _EM_STEPS[:6]
 
-# Lanczos approximation, g = 607/128, 15 terms (Numerical Recipes 3rd ed.).
-_LANCZOS_C0 = 0.999999999999997092
-_LANCZOS = (
-    57.1562356658629235,
-    -59.5979603554754912,
-    14.1360979747417471,
-    -0.491913816097620199,
-    0.339946499848118887e-4,
-    0.465236289270485756e-4,
-    -0.983744753048795646e-4,
-    0.158088703224912494e-3,
-    -0.210264441724104883e-3,
-    0.217439618115212643e-3,
-    -0.164318106536763890e-3,
-    0.844182239838527433e-4,
-    -0.261908384015814087e-4,
-    0.368991826595316234e-5,
-)
 
-_SQRT_TWO_PI = 2.5066282746310005
-_LANCZOS_G_PLUS_HALF = 607.0 / 128.0 + 0.5
-
-
-def _ln_gamma_lanczos(x: float) -> float:
-    # Valid for x > 0; near machine precision for moderate arguments.
-    tmp = x + _LANCZOS_G_PLUS_HALF
-    tmp = (x + 0.5) * math.log(tmp) - tmp
-    ser = _LANCZOS_C0
-    y = x
-    for c in _LANCZOS:
-        y += 1.0
-        ser += c / y
-    return tmp + math.log(_SQRT_TWO_PI * ser / x)
-
-
-def _ln_gamma_stirling(x: float) -> float:
-    # Asymptotic series with six correction terms; used for x > 30 where
-    # it is already far below double rounding.
-    acc = (x - 0.5) * math.log(x) - x + 0.5 * math.log(2.0 * math.pi)
-    xp = x
-    x2 = x * x
-    for c in _STIRLING_COEFF:
-        acc += c / xp
-        xp *= x2
-    return acc
-
-
-def gamma(x: float) -> float:
-    """Gamma function of a real argument.
-
-    Uses a 15-term Lanczos approximation for 0.5 <= x <= 30, the
-    Stirling series beyond, and the reflection identity
-    gamma(x) gamma(1-x) = pi / sin(pi x) below 0.5.
-
-    Raises DomainError at the poles x = 0, -1, -2, ..., where |gamma(x)|
-    exceeds the largest double, and below about -170.6, where gamma(1-x)
-    does (there |gamma(x)| is below the normal range of doubles).
-    """
-    if not math.isfinite(x):
-        raise DomainError("gamma: argument must be finite")
-    if x <= 0.0 and x == math.floor(x):
-        raise DomainError(f"gamma: pole at non-positive integer x={x}")
-    y = 1.0 - x if x < 0.5 else x
+def _finite_double(x: float) -> bool:
+    # math.isfinite(x), but False, not OverflowError, for an int or a Fraction
+    # beyond the doubles; Spacetime checks its length with it too.
     try:
-        value = math.exp(_ln_gamma_lanczos(y) if y <= 30.0 else _ln_gamma_stirling(y))
-        if x < 0.5:
-            value = math.pi / (math.sin(math.pi * x) * value)
+        return math.isfinite(x)
     except OverflowError:
-        value = math.inf
-    if not -math.inf < value < math.inf:
-        raise DomainError(f"gamma: |gamma(x)| at x={x} is outside the range of doubles")
-    return value
+        return False
 
 
 # The direct terms of _zeta_em, 1 .. 19, as floats: float(n) ** -s and n ** -s
@@ -176,7 +106,7 @@ def riemann_zeta(s: float) -> float:
 
     Raises DomainError where |zeta(s)| exceeds the largest double.
     """
-    if not math.isfinite(s):
+    if not _finite_double(s):
         raise DomainError("riemann_zeta: argument must be finite")
     if s == 1.0:
         raise DomainError("riemann_zeta: pole at s=1")
@@ -185,9 +115,10 @@ def riemann_zeta(s: float) -> float:
     if s == math.floor(s) and int(s) % 2 == 0:
         return 0.0  # trivial zeros; the reflection route would hit a gamma pole
     try:
-        value = math.pi ** (s - 0.5) * gamma((1.0 - s) / 2.0) / gamma(s / 2.0) * _zeta_em(1.0 - s)
-    except DomainError:
-        # Below about s = -341 a gamma factor leaves the doubles, and so does
+        value = math.pi ** (s - 0.5) * math.gamma((1.0 - s) / 2.0) / math.gamma(s / 2.0)
+        value *= _zeta_em(1.0 - s)
+    except (OverflowError, ZeroDivisionError):
+        # Below about s = -342 a gamma factor leaves the doubles, and so does
         # |zeta(s)|; the poles of gamma(s/2) are the trivial zeros handled above.
         value = math.inf
     if not -math.inf < value < math.inf:
@@ -206,7 +137,7 @@ def hurwitz_zeta(s: float, a: float) -> float:
     Raises DomainError outside that domain, and when the leading term
     a^-s overflows a double (a tiny a, as in hurwitz_zeta(2, 1e-200)).
     """
-    if not (math.isfinite(s) and math.isfinite(a)):
+    if not (_finite_double(s) and _finite_double(a)):
         raise DomainError("hurwitz_zeta: arguments must be finite")
     if s <= 1.0:
         raise DomainError(f"hurwitz_zeta: requires s > 1, got s={s}")

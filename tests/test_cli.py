@@ -441,17 +441,17 @@ GOLDEN = [
     ("profile --dim 7 --theory scalar-canonical --bc neumann --length 7.5 --samples 2000",
      "3e32aace8b87e2a97835672fd01b1863f3a222e7a3d58cae926b89ebfb409736"),
     ("profile --dim 12 --theory maxwell --bc mit --subtracted --length 1e-3 --samples 2000",
-     "5ee6c93a4e68eecfa9d0e684848f93de2b4041cc6173f578f8084f4b258f301a"),
+     "50aca71e58c80733161de5a25ad66ae7ab9ebc92a9698a30e972b8bbb0af2c59"),
     ("fluctuations --dim 17 --bc metallic --length 2.5 --samples 2000 --format json",
-     "0e3cfabedd452d0fa20878fcca0539aaba3761ab0fc3ee191dead6cc37f7967c"),
+     "9bf52400766c22e5283b8601da62cfb51daa9d1ed4183d3ab4c19950c7b7cad7"),
     # Large grids; in the fluctuations one about a third of the cells lie
     # in 1e12..1e16, where JSON prints floats positionally.
     ("profile --dim 21 --theory maxwell --bc metallic --length 0.37 --samples 20000 --format json",
-     "fd7d603ecde14efd973df078df6e1d836c261b9717cab365b94890a09fb99d86"),
+     "fd75a8fdff9e4fbd198c63be4e48f7d4dcd820574e9b9b4479d97f23f7427478"),
     ("fluctuations --dim 16 --bc mit --length 0.24181776784246303 --samples 20000 --format json",
-     "53c1f19d251bf19d54427e416d54e1cb9ec3f1be44f2b9d84207ceb3ceb089ca"),
+     "b2abe06f2b078a63f4d40fdf4305eadf0faf484f1caa312c7fcd43023282f574"),
     ("profile --dim 9 --theory scalar-canonical --bc dirichlet --length 2.5 --samples 20000",
-     "7e685b96d419a0ebe5e0b609300eae8cf7f2eafe2a9f43d5eb0d5304cc2128f4"),
+     "da831e726a3d955478edbb1b06953bd8a3520510d7f3b6da73db46ff74809f88"),
 ]
 
 
@@ -505,11 +505,11 @@ def _table_text(config, columns, rows, fmt):
     # into text; the first half of the blocks written to one file, as the CLI
     # process writes its range, and the rest to another, as a worker does;
     # then both copied out by the writer.
-    table = cli._rows_table(rows)
-    blocks = -(-len(rows) // cli._BLOCK_ROWS)
+    grid, points, evaluate = cli._rows_table(rows)
+    blocks = -(-points // cli._BLOCK_ROWS)
     spills = [io.StringIO(), io.StringIO()]
-    cli._write_range(spills[0], table, 0, blocks // 2, fmt)
-    cli._write_range(spills[1], table, blocks // 2, blocks, fmt)
+    cli._write_range(spills[0], grid, evaluate, 0, blocks // 2, fmt)
+    cli._write_range(spills[1], grid, evaluate, blocks // 2, blocks, fmt)
     for spill in spills:
         spill.seek(0)
     out = io.StringIO()

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from dataclasses import astuple
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -60,6 +61,8 @@ def test_validation_messages():
         ((4, -1.0), "plate_gap_L must be positive, got -1.0"),
         ((4, math.inf), "plate_gap_L must be positive, got inf"),
         ((4, math.nan), "plate_gap_L must be positive, got nan"),
+        # math.isfinite raises OverflowError on an int beyond the doubles
+        ((4, 10**400), f"plate_gap_L must be positive, got {10**400}"),
     ]:
         with pytest.raises(ValueError) as info:
             Spacetime(*args)
@@ -386,6 +389,94 @@ def test_base_energy_density_negative_and_scaling(dim, length):
     assert e < 0.0
     e_unit = core.base_energy_density(Spacetime(dim, 1.0))
     assert rel_err(e, e_unit / length**dim) < 1e-12
+
+
+def _bernoulli(count):
+    # B_0 .. B_(count - 1) as fractions, by the Akiyama-Tanigawa algorithm.
+    row, out = [], []
+    for m in range(count):
+        row.append(Fraction(1, m + 1))
+        for j in range(m, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+        out.append(row[0])
+    return out
+
+
+def _decimal(q):
+    return Decimal(q.numerator) / q.denominator
+
+
+def _decimal_pi():
+    # Machin's formula pi = 16 atan(1/5) - 4 atan(1/239), each by its series.
+    eps = Decimal(10) ** -(getcontext().prec + 5)
+
+    def atan_inverse(n):
+        total, power, k = Decimal(0), Decimal(1) / n, 0
+        while power > eps:
+            total += (-1) ** k * power / (2 * k + 1)
+            power /= n * n
+            k += 1
+        return total
+
+    return 16 * atan_inverse(5) - 4 * atan_inverse(239)
+
+
+def _decimal_zeta_em(s, bernoulli):
+    # Euler-Maclaurin at n = 100 through B_60: sum_{k<n} k^-s + n^(1-s)/(s-1)
+    # + n^-s/2 + sum_j B_2j/(2j)! s (s+1) ... (s+2j-2) n^(1-s-2j). The first
+    # term left out is below 1e-85.
+    n = 100
+    total = sum(Decimal(k) ** -s for k in range(1, n))
+    total += Decimal(n) ** (1 - s) / (s - 1) + Decimal(n) ** -s / 2
+    for j in range(1, 31):
+        coeff = bernoulli[2 * j] * math.prod(range(s, s + 2 * j - 1)) / math.factorial(2 * j)
+        total += _decimal(coeff) * Decimal(n) ** (1 - s - 2 * j)
+    return total
+
+
+def _amplitude_references():
+    # [(D, (gamma(D/2), (4 pi)^(D/2), zeta(D)))] for D = 2..24 to 80 digits.
+    with localcontext() as ctx:
+        ctx.prec = 80
+        pi = _decimal_pi()
+        sqrt_pi = pi.sqrt()
+        bernoulli = _bernoulli(61)
+        out = []
+        for dim in range(2, 25):
+            m, odd = divmod(dim, 2)
+            if odd:  # D = 2m + 1
+                gamma = Decimal(math.factorial(2 * m)) / (4**m * math.factorial(m)) * sqrt_pi
+                four_pi = (4 * pi) ** m * 2 * sqrt_pi
+                zeta = _decimal_zeta_em(dim, bernoulli)
+            else:
+                gamma = Decimal(math.factorial(m - 1))
+                four_pi = (4 * pi) ** m
+                zeta = _decimal(abs(bernoulli[dim]) / (2 * math.factorial(dim))) * (2 * pi) ** dim
+                # the two routes to zeta(D) check each other
+                assert abs(_decimal_zeta_em(dim, bernoulli) - zeta) < Decimal("1e-70")
+            out.append((dim, (gamma, four_pi, zeta)))
+        return out
+
+
+def _nearest_double(exact):
+    # float(exact), which rounds correctly, once exact is known to lie more
+    # than 1e-30 (relative) from each rounding midpoint around it.
+    value = float(exact)
+    for neighbour in (math.nextafter(value, -math.inf), math.nextafter(value, math.inf)):
+        with localcontext() as ctx:
+            ctx.prec = 80
+            midpoint = (Decimal(value) + Decimal(neighbour)) / 2
+            assert abs(exact - midpoint) > abs(exact) * Decimal("1e-30"), (exact, midpoint)
+    return value
+
+
+def test_amplitude_table_is_correctly_rounded():
+    # Every one of the 69 entries is the double nearest its exact value.
+    references = _amplitude_references()
+    assert len(references) == len(core._AMPLITUDE_TABLE) == 23
+    for (dim, exact), entry in zip(references, core._AMPLITUDE_TABLE):
+        want = [_nearest_double(value).hex() for value in exact]
+        assert [value.hex() for value in entry] == want, dim
 
 
 def test_total_energy_values():
@@ -1013,9 +1104,7 @@ def test_subtracted_profile_one_sided_limits_are_finite():
     assert math.isfinite(inner) and math.isfinite(outer)
     gap = inner - outer
     # interior limit: -(D-2) A (zeta + f~(0)); exterior limit: +(D-2) A
-    from casimir_slab import specfun
-
-    scale = specfun.gamma(3.0) / (4 * PI) ** 3
+    scale = math.gamma(3.0) / (4 * PI) ** 3
     zeta6 = specfun.riemann_zeta(6.0)
     want_inner = -4 * scale * (zeta6 + (2 * zeta6 - 1.0))
     want_outer = 4 * scale

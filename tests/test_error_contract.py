@@ -180,7 +180,6 @@ REGISTRY = {
     "core.field_invariant": _args(
         st.builds(core.FieldFluctuations, FLOATS, FLOATS, FLOATS, FLOATS), DIMS_OR_NON_FINITE
     ),
-    "specfun.gamma": _args(FLOATS),
     "specfun.riemann_zeta": _args(FLOATS),
     "specfun.hurwitz_zeta": _args(_inside(1.0, 40.0), FLOATS),
     "specfun.cot_derivative": _args(
