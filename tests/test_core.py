@@ -248,6 +248,35 @@ def test_records_load_on_first_use():
     ]
 
 
+# The names the README lists as removed public names.
+_REMOVED_NAMES = [
+    "specfun.polygamma",
+    "specfun.coulomb_potential",
+    "specfun.gamma",
+    "oracle.finite_difference_second_derivative",
+    "oracle.CutoffSchedule",
+    "oracle.default_cutoff_schedule",
+    "oracle.SeriesBudget",
+    "errors.IllConditionedFitError",
+    "errors.InsufficientSamplesError",
+    "casimir_slab.polygamma",
+    "casimir_slab.coulomb_potential",
+    "casimir_slab.gamma",
+    "casimir_slab.IllConditionedFitError",
+    "casimir_slab.InsufficientSamplesError",
+]
+
+
+@pytest.mark.parametrize("qualified", _REMOVED_NAMES)
+def test_removed_public_names_stay_removed(qualified):
+    import importlib
+
+    module, name = qualified.rsplit(".", 1)
+    mod = importlib.import_module(module if module == "casimir_slab" else f"casimir_slab.{module}")
+    assert name not in getattr(mod, "__all__", ())
+    assert not hasattr(mod, name)
+
+
 def test_em_bc_scalar_mapping_is_fixed():
     assert EmBC.METALLIC.scalar_bc is ScalarBC.DIRICHLET
     assert EmBC.MIT.scalar_bc is ScalarBC.NEUMANN

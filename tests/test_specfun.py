@@ -121,6 +121,42 @@ def test_zeta_reflection_residual_invariant():
         assert abs(lhs - rhs) <= 1e-10
 
 
+def _zeta_log_gamma_route(s):
+    # zeta(s) = sin(pi s/2) exp(s log 2 + (s-1) log pi + lgamma(1-s)) zeta(1-s):
+    # one gamma, taken in logs, where riemann_zeta divides two math.gamma values.
+    sine = math.sin(PI * s / 2.0)
+    log_size = s * math.log(2.0) + (s - 1.0) * math.log(PI) + math.lgamma(1.0 - s)
+    log_size += math.log(abs(sine))
+    return math.copysign(math.exp(log_size), sine) * specfun.riemann_zeta(1.0 - s)
+
+
+# Across the reflection branch: gamma(1-s) alone leaves the doubles below
+# s = -170.6, but the two half-argument gammas do not, and |zeta(s)| itself
+# fits a double down to about s = -260.17.
+@pytest.mark.parametrize("s", [-0.5, -13.3, -50.5, -101.25, -170.6, -171.5, -250.25, -260.16])
+def test_zeta_reflection_vs_log_gamma_route(s):
+    assert rel_err(specfun.riemann_zeta(s), _zeta_log_gamma_route(s)) < 1e-12
+
+
+def test_zeta_leaves_the_doubles_near_s_minus_260():
+    assert 1e307 < abs(specfun.riemann_zeta(-260.169)) < math.inf
+    with pytest.raises(DomainError):
+        specfun.riemann_zeta(-260.171)
+
+
+@given(st.floats(min_value=-260.0, max_value=-0.01))
+@settings(max_examples=300, deadline=None)
+def test_zeta_sign_alternates_between_trivial_zeros(s):
+    # Below 0 only gamma(s/2) changes sign, once at each trivial zero -2k:
+    # zeta(s) < 0 on (-4k-2, -4k) and > 0 on (-4k-4, -4k-2).
+    value = specfun.riemann_zeta(s)
+    if s == math.floor(s) and int(s) % 2 == 0:
+        assert value == 0.0
+    else:
+        assert math.isfinite(value)
+        assert (value > 0.0) == (math.ceil(-s / 2.0) % 2 == 0), (s, value)
+
+
 # ---------------------------------------------------------------- hurwitz
 
 
@@ -364,11 +400,17 @@ def test_fused_loop_keeps_every_bit_of_random_arguments():
         # math.isfinite raises OverflowError on an int beyond the doubles
         (lambda: specfun.riemann_zeta(10**400), DomainError),
         (lambda: specfun.hurwitz_zeta(2.0, 10**400), DomainError),
+        (lambda: specfun.riemann_zeta(-10**400), DomainError),
+        (lambda: specfun.hurwitz_zeta(10**400, 2.0), DomainError),
+        (lambda: specfun.hurwitz_zeta(2.0, -10**400), DomainError),
+        (lambda: specfun.cot_derivative(3, 10**400), DomainError),
         (lambda: specfun.cot_derivative(200, 1e-3), DomainError),
         (lambda: specfun.cot_derivative(40, 1e-9), DomainError),
     ],
     ids=["hurwitz-huge-s", "zeta-huge-s", "zeta-tiny-negative-s", "zeta-overflow",
-         "zeta-huge-int-s", "hurwitz-huge-int-a", "cot-order-200", "cot-overflow"],
+         "zeta-huge-int-s", "hurwitz-huge-int-a", "zeta-huge-negative-int-s",
+         "hurwitz-huge-int-s", "hurwitz-huge-negative-int-a", "cot-huge-int-theta",
+         "cot-order-200", "cot-overflow"],
 )
 def test_error_contract_cases(call, want):
     if want is DomainError:
