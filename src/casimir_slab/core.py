@@ -21,7 +21,7 @@ from operator import add
 from typing import TYPE_CHECKING, Iterable
 
 from . import specfun
-from .errors import DomainError
+from .errors import DomainError, _shown
 
 if TYPE_CHECKING:
     from .records import FieldFluctuations
@@ -165,7 +165,9 @@ def _check_dim(dim_D: int) -> int:
     # dim_D as an int, which every lookup by dimension needs; a float or a
     # numpy integer is in the range if it equals one of its ints.
     if dim_D not in _DIMS:
-        raise ValueError(f"dim_D must be an integer in [{_MIN_DIM}, {_MAX_DIM}], got {dim_D}")
+        raise ValueError(
+            f"dim_D must be an integer in [{_MIN_DIM}, {_MAX_DIM}], got {_shown(dim_D)}"
+        )
     return int(dim_D)
 
 
@@ -179,7 +181,7 @@ class Spacetime(_Value):
     def __init__(self, dim_D: int, plate_gap_L: float = 1.0) -> None:
         dim_D = _check_dim(dim_D)
         if not (specfun._finite_double(plate_gap_L) and plate_gap_L > 0.0):
-            raise ValueError(f"plate_gap_L must be positive, got {plate_gap_L}")
+            raise ValueError(f"plate_gap_L must be positive, got {_shown(plate_gap_L)}")
         object.__setattr__(self, "dim_D", dim_D)
         object.__setattr__(self, "plate_gap_L", plate_gap_L)
 
@@ -240,7 +242,7 @@ def _amplitude(dim: int, length: float) -> tuple[float, float]:
         scale = math.nan  # length**dim overflowed or underflowed to 0
     if not 0.0 < scale < math.inf:
         raise DomainError(
-            f"length {length} at D={dim}: the amplitude "
+            f"length {_shown(length)} at D={dim}: the amplitude "
             "gamma(D/2)/((4 pi)^(D/2) length^D) is not a finite positive double"
         )
     return scale, zeta
@@ -261,7 +263,7 @@ _OVERFLOW = "D={}: a result overflows a double (small length or z near a plate)"
 
 def _finite(value: float, dim: int) -> float:
     if not math.isfinite(value):
-        raise DomainError(_OVERFLOW.format(dim))
+        raise DomainError(_OVERFLOW.format(_shown(dim)))
     return value
 
 
@@ -277,15 +279,15 @@ def _stress_row(dim: int, t00: float, tzz: float) -> tuple[float, float, float, 
 
 def _interior_args(st: Spacetime, grid: Iterable[float]) -> list[float]:
     # The Hurwitz arguments of f at each z of the grid: every x = z/L, then
-    # every 1 - x, each x checked to lie strictly inside also after rounding.
+    # every 1 - x, each x checked to lie strictly inside also after rounding
+    # (z first, so that an int beyond the doubles never reaches z / L).
     length = st.plate_gap_L
     xs = []
     mirrors = []
     for z in grid:
-        x = z / length
-        if not (0.0 < z < length and 0.0 < x < 1.0):
+        if not (0.0 < z < length and 0.0 < (x := z / length) < 1.0):
             raise DomainError(
-                f"z={z} is on or outside the plates; densities diverge at z=0 and z=L"
+                f"z={_shown(z)} is on or outside the plates; densities diverge at z=0 and z=L"
             )
         xs.append(x)
         mirrors.append(1.0 - x)
@@ -373,7 +375,7 @@ def f_profile(st: Spacetime, x: float) -> float:
     as x^-D at the plates.
     """
     if not 0.0 < x < 1.0:
-        raise DomainError(f"f_profile: x={x} is on a plate; the image sum diverges")
+        raise DomainError(f"f_profile: x={_shown(x)} is on a plate; the image sum diverges")
     left, right = specfun._hurwitz_many(float(st.dim_D), (x, 1.0 - x))
     return left + right
 
@@ -385,7 +387,7 @@ def F_theta(theta: float) -> float:
     expectation value in four dimensions is proportional to it.
     """
     if not 0.0 < theta < math.pi:
-        raise DomainError(f"F_theta: theta={theta} outside (0, pi)")
+        raise DomainError(f"F_theta: theta={_shown(theta)} outside (0, pi)")
     s2 = math.sin(theta) ** 2
     s4 = s2**2
     # Below theta of about 1e-77, 3/s4 overflows; below about 1e-81, s4 is 0.
@@ -444,12 +446,11 @@ def field_invariant(fl: FieldFluctuations, dim_D: int) -> float:
     Raises DomainError where that sum is not a finite double.
     """
     dof = dim_D - 2
-    return _finite(
-        -2.0 * (dof * fl.ei2 + fl.ez2)
-        + 2.0 * dof * fl.biz2
-        + dof * (dim_D - 3) * fl.bij2,
-        dim_D,
-    )
+    try:
+        value = -2.0 * (dof * fl.ei2 + fl.ez2) + 2.0 * dof * fl.biz2 + dof * (dim_D - 3) * fl.bij2
+    except OverflowError:  # an int beyond the doubles, or a product of ints
+        value = math.nan
+    return _finite(value, dim_D)
 
 
 def em_stress_rows(st: Spacetime, bc: EmBC, grid: Iterable[float]) -> list[tuple]:
@@ -485,7 +486,7 @@ def f_tilde(st: Spacetime, x: float) -> float:
     about x = 1/2.
     """
     if not 0.0 <= x <= 1.0:
-        raise DomainError(f"f_tilde: x={x} outside [0, 1]")
+        raise DomainError(f"f_tilde: x={_shown(x)} outside [0, 1]")
     left, right = specfun._hurwitz_many(float(st.dim_D), (1.0 + x, 2.0 - x))
     return left + right
 
@@ -510,26 +511,32 @@ def subtracted_rows(st: Spacetime, bc: EmBC, grid: Iterable[float]) -> list[tupl
     xs = [z / length for z in zs if 0.0 < z < length]
     profile = _image_profile(dim, [1.0 + x for x in xs] + [2.0 - x for x in xs])
     rows = []
-    for z in zs:
-        tzz = 0.0
-        if z < 0.0:
-            t00 = pre * (k_exterior * (length / (length - z)) ** dim)
-            region = _LEFT_EXTERIOR
-        elif z > length:
-            t00 = pre * (k_exterior * (length / z) ** dim)
-            region = _RIGHT_EXTERIOR
-        elif 0.0 < z < length:
-            t00 = pre * (zeta + k * next(profile))
-            tzz = tzz_interior
-            region = _INTERIOR
-        else:
-            raise DomainError(
-                f"subtracted_profile: grid point z={z} sits exactly on a plate or is not a number"
-            )
-        trace = (dim - 1) * t00 - tzz + 0.0
-        if not -math.inf < trace < math.inf:
-            raise DomainError(_OVERFLOW.format(dim))
-        rows.append((z, t00 + 0.0, tzz + 0.0, -t00 + 0.0, trace, region))
+    try:
+        for z in zs:
+            tzz = 0.0
+            if z < 0.0:
+                t00 = pre * (k_exterior * (length / (length - z)) ** dim)
+                region = _LEFT_EXTERIOR
+            elif z > length:
+                t00 = pre * (k_exterior * (length / z) ** dim)
+                region = _RIGHT_EXTERIOR
+            elif 0.0 < z < length:
+                t00 = pre * (zeta + k * next(profile))
+                tzz = tzz_interior
+                region = _INTERIOR
+            else:
+                raise DomainError(
+                    f"subtracted_profile: grid point z={z} sits exactly on a plate "
+                    "or is not a number"
+                )
+            trace = (dim - 1) * t00 - tzz + 0.0
+            if not -math.inf < trace < math.inf:
+                raise DomainError(_OVERFLOW.format(dim))
+            rows.append((z, t00 + 0.0, tzz + 0.0, -t00 + 0.0, trace, region))
+    except OverflowError:  # z is an int beyond the doubles
+        raise DomainError(
+            f"subtracted_profile: grid point z={_shown(z)} lies beyond the doubles"
+        ) from None
     return rows
 
 

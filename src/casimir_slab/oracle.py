@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .core import _INTERIOR, _LEFT_EXTERIOR, _RIGHT_EXTERIOR, ScalarBC, _Value
-from .errors import DomainError
+from .errors import DomainError, _shown
 
 if TYPE_CHECKING:
     import numpy as np
@@ -88,11 +88,17 @@ def _block_sum(
         return sum(sums)
 
 
-def _check_green(name: str, kbar: float, z: float, zp: float, L: float) -> None:
+def _check_green(name: str, kbar: float, z: float, zp: float, L: float) -> tuple[float, float]:
+    # (kbar, L) as doubles, checked.
+    try:
+        kbar, L = float(kbar), float(L)
+    except OverflowError:  # an int beyond the doubles
+        kbar = math.nan
     if not (kbar > 0.0 and L > 0.0 and kbar * L < math.inf):
         raise DomainError(f"{name}: requires kbar > 0, L > 0 and a finite kbar L")
     if not (0.0 <= z <= L and 0.0 <= zp <= L):
         raise DomainError(f"{name}: z and zp must lie in [0, L]")
+    return kbar, L
 
 
 def green_closed(kbar: float, z: float, zp: float, L: float) -> float:
@@ -102,7 +108,7 @@ def green_closed(kbar: float, z: float, zp: float, L: float) -> float:
     hyperbolics are rewritten with the common exponential factored out
     so the evaluation never overflows.
     """
-    _check_green("green_closed", kbar, z, zp, L)
+    kbar, L = _check_green("green_closed", kbar, z, zp, L)
     lo, hi = (z, zp) if z <= zp else (zp, z)
     a = kbar * lo
     b = kbar * (L - hi)
@@ -144,7 +150,7 @@ def green_mode_sum(
     if bc is not ScalarBC.DIRICHLET and bc is not ScalarBC.NEUMANN:
         raise ValueError(f"green_mode_sum: bc must be a ScalarBC, got {bc!r}")
     modes = _check_count("modes", modes)
-    _check_green("green_mode_sum", kbar, z, zp, L)
+    kbar, L = _check_green("green_mode_sum", kbar, z, zp, L)
     import numpy as np
 
     phase = np.pi / L
@@ -201,7 +207,7 @@ def image_profile_sum(dim_D: int, x: float, images: int) -> float:
     """
     j_cap = _check_count("images", images)
     if not 2 <= dim_D < math.inf:
-        raise DomainError(f"image_profile_sum: requires a finite D >= 2, got {dim_D}")
+        raise DomainError(f"image_profile_sum: requires a finite D >= 2, got {_shown(dim_D)}")
     if not 0.0 < x < 1.0:
         raise DomainError("image_profile_sum: x must lie strictly inside (0, 1)")
     try:
@@ -339,9 +345,13 @@ def cutoff_casimir_energy(dim_D: int, L: float, *, scale: float = 1.0) -> float:
     except OverflowError:
         factor = math.inf
     if not sys.float_info.min <= factor < math.inf:
-        raise DomainError(f"cutoff_casimir_energy: L={L} puts L^-(D-1) out of the normal range")
+        raise DomainError(
+            f"cutoff_casimir_energy: L={_shown(L)} puts L^-(D-1) out of the normal range"
+        )
     if not 0.0 < scale <= _MAX_SCALE:
-        raise DomainError(f"cutoff_casimir_energy: requires 0 < scale <= 16, got {scale}")
+        raise DomainError(
+            f"cutoff_casimir_energy: requires 0 < scale <= 16, got {_shown(scale)}"
+        )
     alphas = [scale * 0.014 * 2.0 ** (-k / 2.0) for k in range(8)]
     # Compared without dividing: a subnormal scale rounds the cutoffs to 0.
     if dim_D == 3 and not 45.0 <= alphas[-1] * math.pi * _D3_MAX_MODES:

@@ -18,6 +18,7 @@ from typing import Iterable
 
 from . import core
 from .core import EmBC, Region, ScalarBC, Spacetime, Theory, TheoryKind
+from .errors import _shown
 
 
 @dataclass(frozen=True)
@@ -76,18 +77,21 @@ class Profile:
         isfinite = math.isfinite
         # One loop of attribute reads: three times as fast on CPython 3.11 as
         # all(map(isfinite, ...)) over attrgetter tuples.
-        for s in self.samples:
-            t = s.tensor
-            if not (
-                isfinite(s.z)
-                and isfinite(t.t00)
-                and isfinite(t.tzz)
-                and isfinite(t.t_transverse)
-                and isfinite(t.trace)
-            ):
-                raise ValueError(f"profile sample at z={s.z} is not finite")
-            if s.region is core._INTERIOR and not 0.0 < s.z < length:
-                raise ValueError(f"interior sample at z={s.z} outside (0, L)")
+        try:
+            for s in self.samples:
+                t = s.tensor
+                if not (
+                    isfinite(s.z)
+                    and isfinite(t.t00)
+                    and isfinite(t.tzz)
+                    and isfinite(t.t_transverse)
+                    and isfinite(t.trace)
+                ):
+                    raise ValueError(f"profile sample at z={s.z} is not finite")
+                if s.region is core._INTERIOR and not 0.0 < s.z < length:
+                    raise ValueError(f"interior sample at z={s.z} outside (0, L)")
+        except OverflowError:  # isfinite of an int beyond the doubles
+            raise ValueError(f"profile sample at z={_shown(s.z)} is not a double") from None
 
 
 # The views call the kernels as attributes of core, so that a wrapper put on

@@ -1,9 +1,9 @@
 """High-precision real special functions.
 
 Everything downstream (energy densities, stress profiles, fluctuation
-records) reduces to the functions in this module: the Riemann zeta
-function, continued to negative argument through math.gamma, the Hurwitz
-zeta function and repeated cotangent derivatives.
+records) reduces to the functions in this module: the Hurwitz zeta
+function, the Riemann zeta function as its value at a = 1, continued to
+negative argument through math.gamma, and repeated cotangent derivatives.
 
 All functions are deterministic pure maps on Python floats; there is no
 internal mutable state, so every operation is safe to call concurrently.
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator
 
-from .errors import DomainError
+from .errors import DomainError, _shown
 
 __all__ = [
     "riemann_zeta",
@@ -52,9 +52,6 @@ _EM_COEFF = tuple(
 # (B_2k / (2k)!, 2k - 1, 2k) for k = 1..10: one step of the Hurwitz tail.
 _EM_STEPS = tuple((coeff, 2 * k - 1, 2 * k) for k, coeff in enumerate(_EM_COEFF, 1))
 
-# The steps k = 1..6, through B_12, of the Riemann zeta tail.
-_ZETA_STEPS = _EM_STEPS[:6]
-
 
 def _finite_double(x: float) -> bool:
     # math.isfinite(x), but False, not OverflowError, for an int or a Fraction
@@ -65,41 +62,10 @@ def _finite_double(x: float) -> bool:
         return False
 
 
-# The direct terms of _zeta_em, 1 .. 19, as floats: float(n) ** -s and n ** -s
-# convert the same small integer exactly, so the loop need not convert it.
-_ZETA_BASES = tuple(map(float, range(1, 20)))
-
-
-def _zeta_em(s: float) -> float:
-    # Euler-Maclaurin continuation of sum n^-s: 19 direct terms, then the
-    # tail at N = 20 through the B_12 term. Valid (far beyond the accuracy
-    # target) for s > -11, s != 1.
-    neg_s = -s
-    acc = 0.0
-    for n in _ZETA_BASES:
-        # The terms do not grow for s >= 0, and rounding is monotonic: once
-        # one leaves the sum unchanged, none of the later ones can change it.
-        total = acc + n**neg_s
-        if total == acc:
-            break
-        acc = total
-    big_n = 20.0
-    acc += 0.5 * big_n**neg_s
-    acc += big_n ** (1.0 - s) / (s - 1.0)
-    # rising = s (s+1) ... (s+2k-2), the rising factorial of length 2k-1.
-    rising = s
-    for coeff, odd, even in _ZETA_STEPS:
-        acc += coeff * rising * big_n ** (neg_s - even + 1)
-        rising = rising * (s + odd) * (s + even)
-        if rising == math.inf:
-            break  # s is so large that every later power of big_n is 0
-    return acc
-
-
 def riemann_zeta(s: float) -> float:
     """Riemann zeta function of a real argument, s != 1.
 
-    Direct Euler-Maclaurin summation for s > -0.01; below, where 1-s keeps
+    The Hurwitz zeta sum at a = 1 for s > -0.01; below, where 1-s keeps
     the digits of s, the reflection formula maps the value to 1-s > 1:
 
         gamma(s/2) pi^(-s/2) zeta(s) = gamma((1-s)/2) pi^((s-1)/2) zeta(1-s).
@@ -110,13 +76,14 @@ def riemann_zeta(s: float) -> float:
         raise DomainError("riemann_zeta: argument must be finite")
     if s == 1.0:
         raise DomainError("riemann_zeta: pole at s=1")
-    if s > -0.01:
-        return _zeta_em(s)
-    if s == math.floor(s) and int(s) % 2 == 0:
+    if s <= -2.0 and s % 2.0 == 0.0:
         return 0.0  # trivial zeros; the reflection route would hit a gamma pole
+    t = s if s > -0.01 else 1.0 - s
+    zeta = _hurwitz_many(t, (1.0,), _EM_TAILS.get(t) or _em_tail(t))[0]
+    if t == s:
+        return zeta
     try:
-        value = math.pi ** (s - 0.5) * math.gamma((1.0 - s) / 2.0) / math.gamma(s / 2.0)
-        value *= _zeta_em(1.0 - s)
+        value = math.pi ** (s - 0.5) * math.gamma(t / 2.0) / math.gamma(s / 2.0) * zeta
     except (OverflowError, ZeroDivisionError):
         # Below about s = -342 a gamma factor leaves the doubles, and so does
         # |zeta(s)|; the poles of gamma(s/2) are the trivial zeros handled above.
@@ -172,7 +139,8 @@ _DIRECT_OFFSETS = tuple(tuple(map(float, range(n))) for n in range(16))
 def _hurwitz_many(
     s: float, args: Iterable[float], tail: Iterable[tuple[float, float]] | None = None
 ) -> list[float]:
-    # hurwitz_zeta(s, a) for each a, for callers that hold s > 1 and 0 < a < inf.
+    # hurwitz_zeta(s, a) for each a, for callers that hold s > 1 and 0 < a < inf,
+    # and for riemann_zeta's a = 1 with s > -0.01, s != 1.
     neg_s = -s
     one_minus_s = 1.0 - s
     s_minus_one = s - 1.0
@@ -192,6 +160,7 @@ def _hurwitz_many(
         # Direct terms until the tail expansion point is comfortably large. The
         # terms decrease and rounding is monotonic, so the first one that leaves
         # the sum unchanged ends the loop without changing a bit of the result.
+        # (For -0.01 < s < 0 they grow, but stay near 1 and never end it.)
         n_direct = 16 - int(shifted) if shifted < 16.0 else 0
         for offset in _DIRECT_OFFSETS[n_direct]:
             total = acc + (shifted + offset) ** neg_s
@@ -227,9 +196,9 @@ def cot_derivative(order: int, theta: float) -> float:
     largest double) and where the value overflows a double.
     """
     if not 1 <= order <= 163 or order != int(order):
-        raise DomainError(f"cot_derivative: order must be an integer in [1, 163], got {order}")
+        raise DomainError(f"cot_derivative: order must be an integer in [1, 163], got {_shown(order)}")
     if not 0.0 < theta < math.pi:
-        raise DomainError(f"cot_derivative: theta must lie in (0, pi), got {theta}")
+        raise DomainError(f"cot_derivative: theta must lie in (0, pi), got {_shown(theta)}")
     coeffs = [0, 1]  # cot itself, as a polynomial in c
     for _ in range(int(order)):
         deriv = [i * coeffs[i] for i in range(1, len(coeffs))]

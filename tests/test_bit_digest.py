@@ -21,7 +21,7 @@ from enum import Enum
 from casimir_slab import core, specfun
 from casimir_slab.core import EmBC, ScalarBC, Spacetime, Theory, TheoryKind
 
-DIGEST = "9408a4d12b77d4173cc63cb2baa0868cda2dfd9e81efb782a7409fedbaaffe19"
+DIGEST = "082133834512f46774184d5ab8305d96cdca75f03247796bd42f5e052ddf953e"
 
 # x = z/L near each plate, between them, and at the midpoint.
 _FRACTIONS = (1e-300, 1e-20, 1e-9, 2.0**-30, 1e-3, 0.01, 0.125, 0.3, 0.5,

@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 from dataclasses import astuple
-from decimal import Decimal, getcontext, localcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +24,7 @@ from casimir_slab.core import (
     TheoryKind,
 )
 from casimir_slab.errors import DomainError
+from decimal_reference import bernoulli, decimal_pi, decimal_zeta, to_decimal
 
 PI = math.pi
 
@@ -61,8 +62,13 @@ def test_validation_messages():
         ((4, -1.0), "plate_gap_L must be positive, got -1.0"),
         ((4, math.inf), "plate_gap_L must be positive, got inf"),
         ((4, math.nan), "plate_gap_L must be positive, got nan"),
-        # math.isfinite raises OverflowError on an int beyond the doubles
-        ((4, 10**400), f"plate_gap_L must be positive, got {10**400}"),
+        # math.isfinite raises OverflowError on an int beyond the doubles, and
+        # str() ValueError on one over 4300 digits: such an int goes by its size
+        ((4, 10**400), "plate_gap_L must be positive, got an integer of 1329 bits"),
+        ((4, 10**5000), "plate_gap_L must be positive, got an integer of 16610 bits"),
+        ((4, -10**5000), "plate_gap_L must be positive, got a negative integer of 16610 bits"),
+        ((10**5000, 1.0), "dim_D must be an integer in [2, 24], got an integer of 16610 bits"),
+        ((2**1024 - 1, 1.0), f"dim_D must be an integer in [2, 24], got {2**1024 - 1}"),
     ]:
         with pytest.raises(ValueError) as info:
             Spacetime(*args)
@@ -420,69 +426,26 @@ def test_base_energy_density_negative_and_scaling(dim, length):
     assert rel_err(e, e_unit / length**dim) < 1e-12
 
 
-def _bernoulli(count):
-    # B_0 .. B_(count - 1) as fractions, by the Akiyama-Tanigawa algorithm.
-    row, out = [], []
-    for m in range(count):
-        row.append(Fraction(1, m + 1))
-        for j in range(m, 0, -1):
-            row[j - 1] = j * (row[j - 1] - row[j])
-        out.append(row[0])
-    return out
-
-
-def _decimal(q):
-    return Decimal(q.numerator) / q.denominator
-
-
-def _decimal_pi():
-    # Machin's formula pi = 16 atan(1/5) - 4 atan(1/239), each by its series.
-    eps = Decimal(10) ** -(getcontext().prec + 5)
-
-    def atan_inverse(n):
-        total, power, k = Decimal(0), Decimal(1) / n, 0
-        while power > eps:
-            total += (-1) ** k * power / (2 * k + 1)
-            power /= n * n
-            k += 1
-        return total
-
-    return 16 * atan_inverse(5) - 4 * atan_inverse(239)
-
-
-def _decimal_zeta_em(s, bernoulli):
-    # Euler-Maclaurin at n = 100 through B_60: sum_{k<n} k^-s + n^(1-s)/(s-1)
-    # + n^-s/2 + sum_j B_2j/(2j)! s (s+1) ... (s+2j-2) n^(1-s-2j). The first
-    # term left out is below 1e-85.
-    n = 100
-    total = sum(Decimal(k) ** -s for k in range(1, n))
-    total += Decimal(n) ** (1 - s) / (s - 1) + Decimal(n) ** -s / 2
-    for j in range(1, 31):
-        coeff = bernoulli[2 * j] * math.prod(range(s, s + 2 * j - 1)) / math.factorial(2 * j)
-        total += _decimal(coeff) * Decimal(n) ** (1 - s - 2 * j)
-    return total
-
-
 def _amplitude_references():
     # [(D, (gamma(D/2), (4 pi)^(D/2), zeta(D)))] for D = 2..24 to 80 digits.
     with localcontext() as ctx:
         ctx.prec = 80
-        pi = _decimal_pi()
+        pi = decimal_pi()
         sqrt_pi = pi.sqrt()
-        bernoulli = _bernoulli(61)
+        numbers = bernoulli(25)  # B_0 .. B_24
         out = []
         for dim in range(2, 25):
             m, odd = divmod(dim, 2)
             if odd:  # D = 2m + 1
                 gamma = Decimal(math.factorial(2 * m)) / (4**m * math.factorial(m)) * sqrt_pi
                 four_pi = (4 * pi) ** m * 2 * sqrt_pi
-                zeta = _decimal_zeta_em(dim, bernoulli)
+                zeta = decimal_zeta(dim)
             else:
                 gamma = Decimal(math.factorial(m - 1))
                 four_pi = (4 * pi) ** m
-                zeta = _decimal(abs(bernoulli[dim]) / (2 * math.factorial(dim))) * (2 * pi) ** dim
+                zeta = to_decimal(abs(numbers[dim]) / (2 * math.factorial(dim))) * (2 * pi) ** dim
                 # the two routes to zeta(D) check each other
-                assert abs(_decimal_zeta_em(dim, bernoulli) - zeta) < Decimal("1e-70")
+                assert abs(decimal_zeta(dim) - zeta) < Decimal("1e-70")
             out.append((dim, (gamma, four_pi, zeta)))
         return out
 

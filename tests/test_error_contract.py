@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from casimir_slab import core, oracle, specfun
 from casimir_slab.core import EmBC, Region, ScalarBC, Spacetime, Theory, TheoryKind
+from casimir_slab.errors import DomainError
 
 MODULES = {"core": core, "specfun": specfun, "oracle": oracle}
 
@@ -26,6 +27,16 @@ NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
 # Every double: the normals and subnormals of both signs, zeros, infinities, NaN.
 FLOATS = st.floats()
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# Ints beyond the doubles, from 2^1024 to about 10^5000, of either sign; float()
+# of one raises OverflowError, and str() of one over 4300 digits ValueError.
+HUGE_INTS = st.builds(
+    lambda sign, bits, low: sign * (2**bits + low),
+    st.sampled_from([1, -1]),
+    st.integers(1024, 16609),
+    st.integers(0, 2**64),
+)
+# Every double, and an int beyond them.
+NUMBERS = st.one_of(FLOATS, HUGE_INTS)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 # Integral floats too: cutoff_casimir_energy once raised TypeError on D = 2.0.
 DIMS = st.one_of(st.integers(2, 24), st.integers(2, 24).map(float))
@@ -55,15 +66,16 @@ def _counted_args(*positional):
 
 
 def _inside(low, high):
-    # Every double, or one in [low, high], where the interesting cases are.
-    return st.one_of(FLOATS, st.floats(low, high))
+    # Every double or a huge int, or a double in [low, high], where the
+    # interesting cases are.
+    return st.one_of(NUMBERS, st.floats(low, high))
 
 
 def _located_args(make, extra=()):
     # (st, bc, make(positions), *extra), the positions drawn as floats or as
     # fractions of st's L.
     def draw(space):
-        positions = st.one_of(FLOATS, st.floats(0.0, 1.0).map(lambda f: f * space.plate_gap_L))
+        positions = st.one_of(NUMBERS, st.floats(0.0, 1.0).map(lambda f: f * space.plate_gap_L))
         return _args(st.just(space), BCS, make(positions), *extra)
 
     return SPACETIMES.flatmap(draw)
@@ -85,7 +97,7 @@ TENSORS = st.builds(core.StressTensor, FINITE, FINITE, FINITE, FINITE)
 SAMPLES = st.builds(core.ProfileSample, FINITE, REGIONS, TENSORS)
 # A Profile rejects a sample holding a value that is not finite.
 ANY_SAMPLES = st.builds(
-    core.ProfileSample, FLOATS, REGIONS, st.builds(core.StressTensor, FLOATS, FLOATS, FLOATS, FLOATS)
+    core.ProfileSample, NUMBERS, REGIONS, st.builds(core.StressTensor, NUMBERS, FLOATS, FLOATS, FLOATS)
 )
 
 
@@ -103,14 +115,14 @@ def _decades(low, high, step=1.0):
     return st.sampled_from([low + step * k for k in range(int((high - low) / step) + 1)])
 
 
-# cutoff_casimir_energy's arguments in five regimes: anything, any scale
-# among every double; D = 2, 3 with a scale that fits, at every L from 0 to
+# cutoff_casimir_energy's arguments in five regimes: anything, every double
+# or a huge int for L and the scale; D = 2, 3 with a scale that fits, at every L from 0 to
 # 1; at D = 2 and, as its own regime, at D = 3, scales from 1e-12 (the sums
 # need more modes than the cap, or rounding swamps the constant) to 1e10
 # (above the largest scale); scales from 1e-300 to 1e-12, where the
 # energies and the fit's powers leave the doubles.
 CUTOFF_ARGS = st.one_of(
-    _args(DIMS_OR_NON_FINITE, FLOATS, scale=FLOATS),
+    _args(st.one_of(DIMS_OR_NON_FINITE, HUGE_INTS), NUMBERS, scale=NUMBERS),
     _cutoff_args(SUPPORTED_DIMS, _decades(-330, 0).map(lambda e: 10.0**e), st.just(1.1)),
     *(_cutoff_args(st.just(d), st.floats(1e-3, 1e3), _decades(-12, 10, 0.5)) for d in (2, 3)),
     _cutoff_args(SUPPORTED_DIMS, st.just(1.0), _decades(-300, -12)),
@@ -154,7 +166,7 @@ REGISTRY = {
     "core.TheoryKind": _enum_args(TheoryKind),
     "core.Region": _enum_args(Region),
     "core.Theory": _args(KINDS, BCS),
-    "core.Spacetime": _args(st.one_of(DIMS_OR_NON_FINITE, FLOATS), FLOATS),
+    "core.Spacetime": _args(st.one_of(DIMS_OR_NON_FINITE, NUMBERS), NUMBERS),
     "core.StressTensor": _args(FINITE, FINITE, FINITE, FINITE),
     "core.FieldFluctuations": _args(FINITE, FINITE, FINITE, FINITE),
     "core.ProfileSample": _args(FINITE, REGIONS, TENSORS),
@@ -174,26 +186,27 @@ REGISTRY = {
     "core.em_fluctuations_rows": _located_args(_grid),
     "core.em_stress": _located_args(_point),
     "core.em_stress_rows": _located_args(_grid),
-    "core.single_plate_stress": _args(DIMS_OR_NON_FINITE, BCS, FLOATS),
+    "core.single_plate_stress": _args(st.one_of(DIMS_OR_NON_FINITE, HUGE_INTS), BCS, NUMBERS),
     "core.subtracted_profile": _located_args(_grid),
     "core.subtracted_rows": _located_args(_grid),
     "core.field_invariant": _args(
-        st.builds(core.FieldFluctuations, FLOATS, FLOATS, FLOATS, FLOATS), DIMS_OR_NON_FINITE
+        st.builds(core.FieldFluctuations, NUMBERS, NUMBERS, NUMBERS, NUMBERS),
+        st.one_of(DIMS_OR_NON_FINITE, HUGE_INTS),
     ),
-    "specfun.riemann_zeta": _args(FLOATS),
-    "specfun.hurwitz_zeta": _args(_inside(1.0, 40.0), FLOATS),
+    "specfun.riemann_zeta": _args(NUMBERS),
+    "specfun.hurwitz_zeta": _args(_inside(1.0, 40.0), NUMBERS),
     "specfun.cot_derivative": _args(
-        st.one_of(st.integers(-2, 170), FLOATS), _inside(0.0, math.pi)
+        st.one_of(st.integers(-2, 170), NUMBERS), _inside(0.0, math.pi)
     ),
-    "oracle.green_closed": _args(FLOATS, _inside(0.0, 1.0), _inside(0.0, 1.0), _inside(0.5, 2.0)),
+    "oracle.green_closed": _args(NUMBERS, _inside(0.0, 1.0), _inside(0.0, 1.0), _inside(0.5, 2.0)),
     # Counts include every double: a NaN or infinite one was once kept, and a
     # finite float one made the sums raise TypeError. 10^400 was once kept,
     # and a sum then raised OverflowError.
     "oracle.green_mode_sum": _counted_args(
-        FLOATS, _inside(0.0, 1.0), _inside(0.0, 1.0), _inside(0.5, 2.0), BCS
+        NUMBERS, _inside(0.0, 1.0), _inside(0.0, 1.0), _inside(0.5, 2.0), BCS
     ),
     "oracle.image_profile_sum": _counted_args(
-        st.one_of(DIMS_OR_NON_FINITE, st.floats(2.0, 1100.0)), _inside(0.0, 1.0)
+        st.one_of(DIMS_OR_NON_FINITE, st.floats(2.0, 1100.0), HUGE_INTS), _inside(0.0, 1.0)
     ),
     "oracle.cutoff_casimir_energy": CUTOFF_ARGS,
     "oracle.ProfileEnergy": _args(FINITE, FINITE, FINITE),
@@ -235,3 +248,66 @@ def test_every_public_name_returns_finite_values_or_raises_value_error(name, dat
         except ValueError:
             return
     _assert_finite(result)
+
+
+def _huge_int_cases(big):
+    # (call, error type, message) for calls that pass the int big, beyond the
+    # doubles, as a position, a field value, kbar, L, a scale, an order or D.
+    shown = f"an integer of {big.bit_length()} bits"
+    negative = f"a negative integer of {big.bit_length()} bits"
+    space = Spacetime(6, 1.0)
+    metallic = EmBC.METALLIC
+    small = core.FieldFluctuations(0.1, 0.2, 0.3, 0.4)
+    sample = core.ProfileSample(big, Region.RIGHT_EXTERIOR, core.StressTensor(0.0, 0.0, 0.0, 0.0))
+    outside = f"z={shown} is on or outside the plates; densities diverge at z=0 and z=L"
+    overflow = "a result overflows a double (small length or z near a plate)"
+    green = "requires kbar > 0, L > 0 and a finite kbar L"
+    return [
+        (lambda: Spacetime(4, big), ValueError, f"plate_gap_L must be positive, got {shown}"),
+        (lambda: Spacetime(big), ValueError, f"dim_D must be an integer in [2, 24], got {shown}"),
+        (lambda: core.f_profile(space, big), DomainError,
+         f"f_profile: x={shown} is on a plate; the image sum diverges"),
+        (lambda: core.f_tilde(space, big), DomainError, f"f_tilde: x={shown} outside [0, 1]"),
+        (lambda: core.F_theta(big), DomainError, f"F_theta: theta={shown} outside (0, pi)"),
+        (lambda: core.em_stress(space, metallic, big), DomainError, outside),
+        (lambda: core.scalar_stress(space, ScalarBC.NEUMANN, big), DomainError, outside),
+        (lambda: core.em_fluctuations_rows(space, metallic, [0.5, big]), DomainError, outside),
+        (lambda: core.subtracted_rows(space, metallic, [0.5, big]), DomainError,
+         f"subtracted_profile: grid point z={shown} lies beyond the doubles"),
+        (lambda: core.subtracted_profile(space, metallic, [-big, 0.5]), DomainError,
+         f"subtracted_profile: grid point z={negative} lies beyond the doubles"),
+        (lambda: core.single_plate_stress(6, metallic, big), DomainError,
+         f"length {shown} at D=6: the amplitude gamma(D/2)/((4 pi)^(D/2) length^D) "
+         "is not a finite positive double"),
+        (lambda: core.field_invariant(dataclasses.replace(small, ez2=big), 6), DomainError,
+         f"D=6: {overflow}"),
+        (lambda: core.field_invariant(small, big), DomainError, f"D={shown}: {overflow}"),
+        (lambda: core.Profile(space, Theory(TheoryKind.MAXWELL, metallic), (sample,)), ValueError,
+         f"profile sample at z={shown} is not a double"),
+        (lambda: oracle.green_closed(big, 0.3, 0.4, 1.0), DomainError, f"green_closed: {green}"),
+        (lambda: oracle.green_closed(1e-300, 0.3, 0.4, big), DomainError, f"green_closed: {green}"),
+        (lambda: oracle.green_mode_sum(big, 0.3, 0.4, 1.0, ScalarBC.DIRICHLET, 1000), DomainError,
+         f"green_mode_sum: {green}"),
+        (lambda: oracle.green_mode_sum(1.0, 0.3, 0.4, big, ScalarBC.NEUMANN, 1000), DomainError,
+         f"green_mode_sum: {green}"),
+        (lambda: oracle.image_profile_sum(-big, 0.3, 1000), DomainError,
+         f"image_profile_sum: requires a finite D >= 2, got {negative}"),
+        (lambda: oracle.cutoff_casimir_energy(2, big), DomainError,
+         f"cutoff_casimir_energy: L={shown} puts L^-(D-1) out of the normal range"),
+        (lambda: oracle.cutoff_casimir_energy(2, 1.0, scale=big), DomainError,
+         f"cutoff_casimir_energy: requires 0 < scale <= 16, got {shown}"),
+        (lambda: specfun.cot_derivative(big, 1.0), DomainError,
+         f"cot_derivative: order must be an integer in [1, 163], got {shown}"),
+        (lambda: specfun.cot_derivative(3, big), DomainError,
+         f"cot_derivative: theta must lie in (0, pi), got {shown}"),
+    ]
+
+
+@pytest.mark.parametrize("big", [2**1024, 10**400, 10**5000], ids=["2^1024", "10^400", "10^5000"])
+def test_huge_ints_raise_errors_that_name_the_argument(big):
+    # Once a bare OverflowError from float(), or, over 4300 digits, the
+    # ValueError of str() in place of the message.
+    for call, error, message in _huge_int_cases(big):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert type(info.value) is error and str(info.value) == message, message
